@@ -69,7 +69,6 @@ from .optim import (
     logcosh_loss,
     ngd_cg_step,
     ngd_exact_step,
-    ngd_general_loss_step,
     squared_loss,
     train,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "ngd_cg_step",
     "ngd_discrete",
     "ngd_exact_step",
-    "ngd_general_loss_step",
     "ngd_max_eta",
     "ngd_trajectory",
     "normalize_rows",

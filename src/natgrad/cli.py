@@ -658,7 +658,7 @@ def cmd_compare(args) -> int:
         r0 = trace.initial_residual_norm
         rk = trace.final_residual_norm
         observed = (rk / r0) ** (1.0 / k) if r0 > 0 and k > 0 else math.nan
-        predicted = optim._predicted_factor(cfg.optimizer, ds)
+        predicted = optim.predicted_factor(cfg.optimizer, ds)
         rows.append(
             {
                 "method": cfg.optimizer.method,

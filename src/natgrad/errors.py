@@ -8,7 +8,14 @@ from __future__ import annotations
 
 
 class NumericalError(RuntimeError):
-    """A computation failed for numerical reasons, not caller error."""
+    """A computation failed for numerical reasons, not caller error.
+
+    step is the training step the failure happened at, when known.
+    """
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 class SingularMatrixError(NumericalError):
@@ -30,10 +37,6 @@ class NonConvergenceError(NumericalError):
 
 class DivergenceError(NumericalError):
     """Training produced non-finite outputs."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
 
 
 class FormatError(ValueError):

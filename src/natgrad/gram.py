@@ -13,6 +13,7 @@ the factors' spectra to the product's.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .data import Dataset
 from .network import ActivationPattern, JacobianView
 
 SYMMETRY_TOL = 1e-9
+PD_FLOOR = 1e-12  # lambda_min (+ damping) a matrix needs to count as positive definite
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,25 @@ def finite_gram(jv: JacobianView) -> GramMatrix:
     """
     M = (jv.X @ jv.X.T) * (jv.Stilde @ jv.Stilde.T)
     return GramMatrix(M=M, kind="finite")
+
+
+def jacobian_drift(
+    XXt: np.ndarray,
+    G: np.ndarray,
+    Stilde: np.ndarray,
+    G0: np.ndarray,
+    Stilde0: np.ndarray,
+) -> float:
+    """||J - J0||_2 through n x n products only.
+
+    XXt is X X^T; G, Stilde and G0, Stilde0 are the finite Gram and the
+    signed activation factor of J and of J0.  Since
+    (J - J0)(J - J0)^T = G + G0 - C - C^T with C = (X X^T) o (S~ S~0^T),
+    the spectral norm is the square root of the top eigenvalue.
+    """
+    C = XXt * (Stilde @ Stilde0.T)
+    top = float(np.linalg.eigvalsh(G + G0 - C - C.T)[-1])
+    return math.sqrt(max(top, 0.0))
 
 
 def mc_limiting_gram(

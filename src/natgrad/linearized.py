@@ -20,11 +20,11 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import SingularMatrixError
+from .gram import PD_FLOOR
 
 if TYPE_CHECKING:
     from .optim import LossSpec
 
-PD_FLOOR = 1e-12
 DECAY_TARGET = 1e12  # "t = infinity" drives every mode below 1/DECAY_TARGET
 
 

@@ -28,14 +28,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import network
+from . import gram, network
 from .data import Dataset, validate
 from .errors import DivergenceError, RankDeficiencyError, SingularMatrixError
+from .gram import PD_FLOOR
 from .network import NetworkParams
+from .theory import rate_predictor
 
 METHODS = ("gd", "ngd_exact", "ngd_cg", "kfac")
 
-PD_FLOOR = 1e-12
 EARLY_STOP_RESIDUAL = 1e-12
 AUTO_DAMPING_SCALE = 1e-8
 
@@ -151,19 +152,21 @@ def _auto_damping(G: np.ndarray) -> float:
     return AUTO_DAMPING_SCALE * float(np.trace(G)) / G.shape[0]
 
 
-def _solve_gram(G: np.ndarray, rhs: np.ndarray, damping: float | None) -> np.ndarray:
+def _solve_gram(
+    G: np.ndarray, rhs: np.ndarray, damping: float | None, what: str = "output Gram"
+) -> np.ndarray:
     """Solve (G + damping I) z = rhs with a positive-definiteness guard.
 
     damping = None picks a relative default, 1e-8 tr(G)/n.  Raises
-    SingularMatrixError when the damped matrix is not safely positive
-    definite.
+    SingularMatrixError, naming the matrix as `what`, when the damped
+    matrix is not safely positive definite.
     """
     if damping is None:
         damping = _auto_damping(G)
     lam_min = float(np.linalg.eigvalsh(G)[0])
     if lam_min + damping <= PD_FLOOR:
         raise SingularMatrixError(
-            f"output Gram is numerically singular: lambda_min + damping = "
+            f"{what} is numerically singular: lambda_min + damping = "
             f"{lam_min + damping:.3e} <= {PD_FLOOR:.0e}"
         )
     if damping > 0:
@@ -217,51 +220,36 @@ def gd_step(p: NetworkParams, ds: Dataset, eta: float) -> NetworkParams:
     return p.with_weights(w_new)
 
 
-def ngd_exact_step(
-    p: NetworkParams, ds: Dataset, eta: float, damping: float | None = None
-) -> NetworkParams:
-    """Natural-gradient step through a direct solve of the n x n Gram."""
-    u = network.forward(p, ds.X)
-    jv = network.jacobian(p, ds.X)
-    G = (ds.X @ ds.X.T) * (jv.Stilde @ jv.Stilde.T)
-    z = _solve_gram(G, u - ds.y, damping)
-    return p.with_weights(p.w - eta * jv.grad_matrix(z))
-
-
-def ngd_general_loss_step(
+def _ngd_step(
     p: NetworkParams,
     ds: Dataset,
     eta: float,
     loss: LossSpec,
-    damping: float | None = None,
-) -> NetworkParams:
-    """Natural-gradient step for a general output-space loss: the solve is
-    against the loss gradient g(u) instead of the residual."""
-    u = network.forward(p, ds.X)
-    jv = network.jacobian(p, ds.X)
-    G = (ds.X @ ds.X.T) * (jv.Stilde @ jv.Stilde.T)
-    z = _solve_gram(G, loss.grad(u, ds.y), damping)
-    return p.with_weights(p.w - eta * jv.grad_matrix(z))
-
-
-def _ngd_cg_step(
-    p: NetworkParams,
-    ds: Dataset,
-    eta: float,
-    loss: LossSpec,
-    damping: float | None,
-    cg_iters: int,
-    cg_tol: float,
+    solve: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
 ) -> tuple[NetworkParams, bool]:
+    """w <- w - eta J^T z with z from solve(G, g(u)): the n x n Gram
+    G = J J^T against the output-space loss gradient g(u).  solve returns
+    (z, converged)."""
     u = network.forward(p, ds.X)
     jv = network.jacobian(p, ds.X)
-    G = (ds.X @ ds.X.T) * (jv.Stilde @ jv.Stilde.T)
-    if damping is None:
-        damping = _auto_damping(G)
-    if damping > 0:
-        G = G + damping * np.eye(ds.n)
-    z, _, converged = cg_solve(G, loss.grad(u, ds.y), cg_iters, cg_tol)
+    z, converged = solve(gram.finite_gram(jv).M, loss.grad(u, ds.y))
     return p.with_weights(p.w - eta * jv.grad_matrix(z)), converged
+
+
+def ngd_exact_step(
+    p: NetworkParams,
+    ds: Dataset,
+    eta: float,
+    damping: float | None = None,
+    loss: LossSpec = squared_loss(),
+) -> NetworkParams:
+    """Natural-gradient step through a direct solve of the n x n Gram.
+
+    Raises SingularMatrixError when the damped Gram is not safely
+    positive definite.
+    """
+    new_p, _ = _ngd_step(p, ds, eta, loss, lambda G, g: (_solve_gram(G, g, damping), True))
+    return new_p
 
 
 def ngd_cg_step(
@@ -271,14 +259,23 @@ def ngd_cg_step(
     damping: float | None = None,
     cg_iters: int = 100,
     cg_tol: float = 1e-10,
-) -> NetworkParams:
+    loss: LossSpec = squared_loss(),
+) -> tuple[NetworkParams, bool]:
     """Natural-gradient step with the Gram system solved by CG.
 
-    No eigenvalue precheck is done; an ill-conditioned system shows up as
-    CG stagnation, which train() records rather than raising.
+    Returns (params, converged).  No eigenvalue precheck is done; an
+    ill-conditioned system shows up as CG stagnation, which train()
+    records rather than raising.
     """
-    new_p, _ = _ngd_cg_step(p, ds, eta, squared_loss(), damping, cg_iters, cg_tol)
-    return new_p
+
+    def solve(G, g):
+        lam = _auto_damping(G) if damping is None else damping
+        if lam > 0:
+            G = G + lam * np.eye(G.shape[0])
+        z, _, converged = cg_solve(G, g, cg_iters, cg_tol)
+        return z, converged
+
+    return _ngd_step(p, ds, eta, loss, solve)
 
 
 def kfac_step(
@@ -307,13 +304,7 @@ def kfac_step(
     if damping == 0.0:
         middle = np.linalg.pinv(A, hermitian=True) @ scaled
     else:
-        lam_min = float(np.linalg.eigvalsh(A)[0])
-        if lam_min + damping <= PD_FLOOR:
-            raise SingularMatrixError(
-                f"unit factor is numerically singular: lambda_min + damping = "
-                f"{lam_min + damping:.3e} <= {PD_FLOOR:.0e}"
-            )
-        middle = np.linalg.solve(A + damping * np.eye(ds.n), scaled)
+        middle = _solve_gram(A, scaled, damping, "unit factor")
     update = np.linalg.solve(XtX, (St.T @ middle).T).T  # S~^T middle (X^T X)^{-1}
     return p.with_weights(p.w - eta * update)
 
@@ -424,27 +415,9 @@ class ConvergenceTrace:
             fh.write("\n")
 
 
-def _spectral_jacobian_drift(
-    X: np.ndarray, Stilde: np.ndarray, Stilde0: np.ndarray
-) -> float:
-    """||J - J0||_2 through n x n products only.
-
-    (J - J0)(J - J0)^T = G + G0 - C - C^T with C = (X X^T) o (S~ S~0^T),
-    so the spectral norm is the square root of the top eigenvalue.
-    """
-    XXt = X @ X.T
-    G = XXt * (Stilde @ Stilde.T)
-    G0 = XXt * (Stilde0 @ Stilde0.T)
-    C = XXt * (Stilde @ Stilde0.T)
-    top = float(np.linalg.eigvalsh(G + G0 - C - C.T)[-1])
-    return math.sqrt(max(top, 0.0))
-
-
-def _predicted_factor(cfg: OptimizerConfig, ds: Dataset) -> float:
-    # imported here: theory depends on network/gram, not on this module,
-    # but keeping the import local makes the layering obvious
-    from .theory import rate_predictor
-
+def predicted_factor(cfg: OptimizerConfig, ds: Dataset) -> float:
+    """Per-step factor of the predicted squared-residual bound for cfg's
+    method and loss on ds; NaN for plain gradient descent."""
     if cfg.method == "gd":
         return math.nan
     if cfg.method == "kfac":
@@ -471,31 +444,34 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
 
     u0 = network.forward(p, ds.X)
     r0 = float(np.linalg.norm(u0 - ds.y))
-    factor = _predicted_factor(cfg, ds)
-    stilde0 = None
+    factor = predicted_factor(cfg, ds)
+    diagnostics = cfg.track_lambda_min or cfg.track_jacobian_drift
+    if diagnostics:
+        XXt = ds.X @ ds.X.T
     if cfg.track_jacobian_drift:
         # pattern of the stored initialization, not of the incoming weights
         s0 = (ds.X @ p.w0.T >= 0.0).astype(float)
         stilde0 = s0 * (p.a / math.sqrt(p.m))
+        G0 = XXt * (stilde0 @ stilde0.T)
 
     records: list[StepRecord] = []
     current = p
     for k in range(1, cfg.max_steps + 1):
         stagnated: bool | None = None
-        if cfg.method == "gd":
-            current = gd_step(current, ds, cfg.eta)
-        elif cfg.method == "kfac":
-            current = kfac_step(current, ds, cfg.eta, cfg.damping)
-        elif cfg.method == "ngd_exact":
-            if cfg.loss.kind == "squared":
-                current = ngd_exact_step(current, ds, cfg.eta, cfg.damping)
-            else:
-                current = ngd_general_loss_step(current, ds, cfg.eta, cfg.loss, cfg.damping)
-        else:  # ngd_cg
-            current, converged = _ngd_cg_step(
-                current, ds, cfg.eta, cfg.loss, cfg.damping, cfg.cg_iters, cfg.cg_tol
-            )
-            stagnated = not converged
+        try:
+            if cfg.method == "gd":
+                current = gd_step(current, ds, cfg.eta)
+            elif cfg.method == "kfac":
+                current = kfac_step(current, ds, cfg.eta, cfg.damping)
+            elif cfg.method == "ngd_exact":
+                current = ngd_exact_step(current, ds, cfg.eta, cfg.damping, cfg.loss)
+            else:  # ngd_cg
+                current, converged = ngd_cg_step(
+                    current, ds, cfg.eta, cfg.damping, cfg.cg_iters, cfg.cg_tol, cfg.loss
+                )
+                stagnated = not converged
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"training failed at step {k}: {exc}", step=k) from exc
 
         u = network.forward(current, ds.X)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(current.w))):
@@ -506,13 +482,13 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         diff = current.w - current.w0
         lam_min = None
         jac_drift = None
-        if cfg.track_lambda_min or cfg.track_jacobian_drift:
+        if diagnostics:
             ap = network.activation_pattern(current, ds.X)
+            G = XXt * (ap.Stilde @ ap.Stilde.T)
             if cfg.track_lambda_min:
-                G = (ds.X @ ds.X.T) * (ap.Stilde @ ap.Stilde.T)
                 lam_min = float(np.linalg.eigvalsh(G)[0])
             if cfg.track_jacobian_drift:
-                jac_drift = _spectral_jacobian_drift(ds.X, ap.Stilde, stilde0)
+                jac_drift = gram.jacobian_drift(XXt, G, ap.Stilde, G0, stilde0)
 
         if cfg.loss.value is not None:
             loss_val = float(np.mean(cfg.loss.value(u, ds.y)))

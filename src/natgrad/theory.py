@@ -32,10 +32,8 @@ import numpy as np
 from . import gram, network
 from .data import Dataset, synth_sphere
 from .errors import SingularMatrixError
+from .gram import PD_FLOOR
 from .network import NetworkParams
-from .optim import _spectral_jacobian_drift
-
-PD_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,9 @@ def check_conditions(
     G0 = gram.finite_gram(jv0)
     lam0 = gram.min_eig(G0)
     jvc = network.jacobian(p_current, ds.X)
-    drift = _spectral_jacobian_drift(ds.X, jvc.Stilde, jv0.Stilde)
+    XXt = ds.X @ ds.X.T
+    G = XXt * (jvc.Stilde @ jvc.Stilde.T)
+    drift = gram.jacobian_drift(XXt, G, jvc.Stilde, G0.M, jv0.Stilde)
 
     if lam0 <= PD_FLOOR:
         return ConditionReport(

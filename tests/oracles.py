@@ -53,12 +53,23 @@ def fd_jacobian(forward_fn, w, eps=1e-6):
     return J
 
 
-def ngd_step_dense(w, a, X, y, eta):
-    """One natural-gradient step via the dense pseudo-inverse of J J^T."""
+def squared_grad(u, y):
+    """Output-space gradient of sum_i (u_i - y_i)^2 / 2."""
+    return u - y
+
+
+def logcosh_grad(mu):
+    """Output-space gradient of sum_i (mu/2)(u_i - y_i)^2 + log cosh(u_i - y_i)."""
+    return lambda u, y: mu * (u - y) + np.tanh(u - y)
+
+
+def ngd_step_dense(w, a, X, y, eta, grad=squared_grad):
+    """One natural-gradient step via the dense pseudo-inverse of J J^T,
+    against the output-space loss gradient grad(u, y)."""
     m, d = w.shape
     J = dense_jacobian_loops(w, a, X)
     u = relu_forward_loops(w, a, X)
-    z = np.linalg.pinv(J @ J.T) @ (u - y)
+    z = np.linalg.pinv(J @ J.T) @ grad(u, y)
     return w - eta * (J.T @ z).reshape(m, d)
 
 

@@ -186,6 +186,14 @@ def test_train_writes_complete_artifact_set(tmp_path, capsys):
     }
 
 
+def test_train_singular_gram_exits_two(tmp_path, capsys):
+    cfg = base_config(tmp_path / "run")
+    cfg["data"]["synth"] = {"n": 12, "d": 2, "seed": 25}
+    cfg["model"] = {"m": 4, "nu": 1.0, "seed": 26}  # m d = 8 < n = 12
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
+    assert "at step 1: output Gram is numerically singular" in capsys.readouterr().err
+
+
 def test_train_rerun_is_byte_identical(tmp_path, capsys):
     out = tmp_path / "run"
     cfgp = write_config(tmp_path, base_config(out))

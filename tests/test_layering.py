@@ -1,0 +1,88 @@
+"""Import layering of the package, read from its source with ast.
+
+Modules may import only modules earlier in ORDER, which refines
+data -> network -> gram -> {theory, optim, linearized} -> cli.  No module
+reaches into another's private names, and PD_FLOOR is defined once.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "natgrad"
+ORDER = (
+    "_version", "errors", "data", "forster", "network", "gram",
+    "theory", "optim", "linearized", "cli", "__main__", "__init__",
+)
+
+
+def parse(name):
+    return ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def imported(tree):
+    """(module, name) for each natgrad import; name is None for a module
+    import.  Also returns the local aliases bound to natgrad modules."""
+    pairs, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("natgrad"):
+                continue
+            module = (node.module or "").removeprefix("natgrad").lstrip(".")
+            for alias in node.names:
+                if module:
+                    pairs.append((module, alias.name))
+                else:  # from . import gram
+                    pairs.append((alias.name, None))
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("natgrad."):
+                    module = alias.name.removeprefix("natgrad.")
+                    pairs.append((module, None))
+                    if alias.asname:
+                        aliases[alias.asname] = module
+    return pairs, aliases
+
+
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_module_is_ordered():
+    assert {p.stem for p in SRC.glob("*.py")} == set(ORDER)
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_imports_go_one_way(name):
+    pairs, _ = imported(parse(name))
+    for module, _ in pairs:
+        assert ORDER.index(module) < ORDER.index(name), f"{name} imports {module}"
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_no_private_names_across_modules(name):
+    tree = parse(name)
+    pairs, aliases = imported(tree)
+    used = [f"{module}.{item}" for module, item in pairs if item and private(item)]
+    used += [
+        f"{aliases[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+        and private(node.attr)
+    ]
+    assert used == [], f"{name} uses private names {used}"
+
+
+def test_pd_floor_defined_once():
+    defined = [
+        name
+        for name in ORDER
+        for node in ast.walk(parse(name))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "PD_FLOOR"
+    ]
+    assert defined == ["gram"]

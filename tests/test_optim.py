@@ -13,6 +13,7 @@ from natgrad import (
     NetworkParams,
     OptimizerConfig,
     RankDeficiencyError,
+    SingularMatrixError,
     cg_solve,
     forward,
     gd_step,
@@ -22,7 +23,6 @@ from natgrad import (
     logcosh_loss,
     ngd_cg_step,
     ngd_exact_step,
-    ngd_general_loss_step,
     squared_loss,
     synth_sphere,
     train,
@@ -161,11 +161,16 @@ def test_gd_step_formula():
     assert np.allclose(stepped.w.ravel(), expected, atol=1e-14)
 
 
-def test_ngd_exact_step_matches_pinv_oracle():
+@pytest.mark.parametrize(
+    "loss, grad",
+    [(squared_loss(), oracles.squared_grad), (logcosh_loss(mu=0.5), oracles.logcosh_grad(0.5))],
+    ids=["squared", "logcosh"],
+)
+def test_ngd_exact_step_matches_pinv_oracle(loss, grad):
     ds = synth_sphere(6, 4, seed=2)
     p = init_network(32, 4, nu=1.0, seed=3)
-    stepped = ngd_exact_step(p, ds, eta=0.7, damping=0.0)
-    expected = oracles.ngd_step_dense(p.w, p.a, ds.X, ds.y, eta=0.7)
+    stepped = ngd_exact_step(p, ds, eta=0.7, damping=0.0, loss=loss)
+    expected = oracles.ngd_step_dense(p.w, p.a, ds.X, ds.y, eta=0.7, grad=grad)
     scale = np.linalg.norm(expected)
     assert np.linalg.norm(stepped.w - expected) <= 1e-10 * scale
 
@@ -181,19 +186,12 @@ def test_ngd_exact_step_with_damping():
     assert np.allclose(stepped.w.ravel(), expected, atol=1e-12)
 
 
-def test_general_loss_step_reduces_to_squared():
-    ds = synth_sphere(6, 4, seed=4)
-    p = init_network(16, 4, nu=1.0, seed=5)
-    a = ngd_exact_step(p, ds, eta=0.5, damping=0.0)
-    b = ngd_general_loss_step(p, ds, eta=0.5, loss=squared_loss(), damping=0.0)
-    assert np.array_equal(a.w, b.w)
-
-
 def test_ngd_cg_step_matches_exact_step():
     ds = synth_sphere(8, 4, seed=6)
     p = init_network(24, 4, nu=1.0, seed=7)
     exact = ngd_exact_step(p, ds, eta=0.5, damping=1e-3)
-    viacg = ngd_cg_step(p, ds, eta=0.5, damping=1e-3, cg_iters=200, cg_tol=1e-14)
+    viacg, converged = ngd_cg_step(p, ds, eta=0.5, damping=1e-3, cg_iters=200, cg_tol=1e-14)
+    assert converged
     assert np.allclose(viacg.w, exact.w, atol=1e-10)
 
 
@@ -302,6 +300,15 @@ def test_train_gd_has_no_predicted_bound():
     assert all(math.isnan(rec.predicted_bound) for rec in trace.records)
 
 
+def test_train_singular_gram_reports_step():
+    ds = synth_sphere(12, 2, seed=25)
+    p = init_network(4, 2, nu=1.0, seed=26)  # m d = 8 < n = 12, so rank(J J^T) < n
+    cfg = OptimizerConfig(method="ngd_exact", eta=0.5, damping=0.0, max_steps=3)
+    with pytest.raises(SingularMatrixError, match=r"at step 1: .*lambda_min \+ damping") as err:
+        train(p, ds, cfg)
+    assert err.value.step == 1
+
+
 def test_train_general_loss_uses_widened_factor():
     ds = synth_sphere(8, 4, seed=7)
     p = init_network(256, 4, nu=1.0, seed=8)
@@ -347,9 +354,14 @@ def test_train_tracked_diagnostics():
         track_lambda_min=True, track_jacobian_drift=True,
     )
     trace = train(p, ds, cfg)
+    J0 = oracles.dense_jacobian_loops(p.w0, p.a, ds.X)
+    current = p
     for rec in trace.records:
+        current = ngd_exact_step(current, ds, eta=0.5, damping=0.0)
+        Jk = oracles.dense_jacobian_loops(current.w, current.a, ds.X)
         assert rec.lambda_min_G > 0
-        assert rec.jacobian_drift >= 0.0
+        assert rec.lambda_min_G == pytest.approx(np.linalg.eigvalsh(Jk @ Jk.T)[0], rel=1e-9)
+        assert rec.jacobian_drift == pytest.approx(np.linalg.norm(Jk - J0, 2), rel=1e-9)
     plain = train(p, ds, OptimizerConfig(eta=0.5, damping=0.0, max_steps=3))
     assert all(rec.lambda_min_G is None for rec in plain.records)
     assert all(rec.jacobian_drift is None for rec in plain.records)
