@@ -49,6 +49,7 @@ TRACE_COLUMNS = (
     "predicted_bound",
     "lambda_min_G",
     "jacobian_drift",
+    "cg_stagnated",
 )
 
 
@@ -159,19 +160,25 @@ def _solve_gram(
 
     damping = None picks a relative default, 1e-8 tr(G)/n.  Raises
     SingularMatrixError, naming the matrix as `what`, when the damped
-    matrix is not safely positive definite.
+    matrix is not safely positive definite: lambda_min + damping <=
+    PD_FLOOR, tested as the failure of a Cholesky factorization of
+    G + damping I - PD_FLOOR I.  Only that failure pays for eigvalsh,
+    to report lambda_min.
     """
     if damping is None:
         damping = _auto_damping(G)
-    lam_min = float(np.linalg.eigvalsh(G)[0])
-    if lam_min + damping <= PD_FLOOR:
+    A = G + damping * np.eye(G.shape[0]) if damping > 0 else G
+    shifted = A.copy()
+    shifted.flat[:: A.shape[0] + 1] -= PD_FLOOR  # A - PD_FLOOR I
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lam_min = float(np.linalg.eigvalsh(G)[0])
         raise SingularMatrixError(
             f"{what} is numerically singular: lambda_min + damping = "
             f"{lam_min + damping:.3e} <= {PD_FLOOR:.0e}"
-        )
-    if damping > 0:
-        G = G + damping * np.eye(G.shape[0])
-    return np.linalg.solve(G, rhs)
+        ) from None
+    return np.linalg.solve(A, rhs)
 
 
 def cg_solve(
@@ -210,11 +217,17 @@ def cg_solve(
 
 # ---------------------------------------------------------------------------
 # single steps (pure: each returns a new NetworkParams)
+#
+# Each step takes u, the network outputs at p, when the caller already has
+# them (train() computes them for its record); u=None computes them.
 
 
-def gd_step(p: NetworkParams, ds: Dataset, eta: float) -> NetworkParams:
+def gd_step(
+    p: NetworkParams, ds: Dataset, eta: float, u: np.ndarray | None = None
+) -> NetworkParams:
     """Plain gradient descent on the mean squared loss: w -= (eta/n) J^T rho."""
-    u = network.forward(p, ds.X)
+    if u is None:
+        u = network.forward(p, ds.X)
     jv = network.jacobian(p, ds.X)
     w_new = p.w - (eta / ds.n) * jv.grad_matrix(u - ds.y)
     return p.with_weights(w_new)
@@ -226,11 +239,13 @@ def _ngd_step(
     eta: float,
     loss: LossSpec,
     solve: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
+    u: np.ndarray | None,
 ) -> tuple[NetworkParams, bool]:
     """w <- w - eta J^T z with z from solve(G, g(u)): the n x n Gram
     G = J J^T against the output-space loss gradient g(u).  solve returns
     (z, converged)."""
-    u = network.forward(p, ds.X)
+    if u is None:
+        u = network.forward(p, ds.X)
     jv = network.jacobian(p, ds.X)
     z, converged = solve(gram.finite_gram(jv).M, loss.grad(u, ds.y))
     return p.with_weights(p.w - eta * jv.grad_matrix(z)), converged
@@ -242,13 +257,16 @@ def ngd_exact_step(
     eta: float,
     damping: float | None = None,
     loss: LossSpec = squared_loss(),
+    u: np.ndarray | None = None,
 ) -> NetworkParams:
     """Natural-gradient step through a direct solve of the n x n Gram.
 
     Raises SingularMatrixError when the damped Gram is not safely
     positive definite.
     """
-    new_p, _ = _ngd_step(p, ds, eta, loss, lambda G, g: (_solve_gram(G, g, damping), True))
+    new_p, _ = _ngd_step(
+        p, ds, eta, loss, lambda G, g: (_solve_gram(G, g, damping), True), u
+    )
     return new_p
 
 
@@ -260,6 +278,7 @@ def ngd_cg_step(
     cg_iters: int = 100,
     cg_tol: float = 1e-10,
     loss: LossSpec = squared_loss(),
+    u: np.ndarray | None = None,
 ) -> tuple[NetworkParams, bool]:
     """Natural-gradient step with the Gram system solved by CG.
 
@@ -275,11 +294,15 @@ def ngd_cg_step(
         z, _, converged = cg_solve(G, g, cg_iters, cg_tol)
         return z, converged
 
-    return _ngd_step(p, ds, eta, loss, solve)
+    return _ngd_step(p, ds, eta, loss, solve, u)
 
 
 def kfac_step(
-    p: NetworkParams, ds: Dataset, eta: float, damping: float | None = None
+    p: NetworkParams,
+    ds: Dataset,
+    eta: float,
+    damping: float | None = None,
+    u: np.ndarray | None = None,
 ) -> NetworkParams:
     """Kronecker-factored step.
 
@@ -294,7 +317,8 @@ def kfac_step(
         raise RankDeficiencyError(
             "input factor X^T X is rank deficient; K-FAC needs rank-d inputs"
         )
-    u = network.forward(p, ds.X)
+    if u is None:
+        u = network.forward(p, ds.X)
     ap = network.activation_pattern(p, ds.X)
     St = ap.Stilde
     A = St @ St.T
@@ -331,6 +355,8 @@ class StepRecord:
 def _cell(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
     f = float(v)
     if math.isnan(f):
         return ""
@@ -450,24 +476,23 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         XXt = ds.X @ ds.X.T
     if cfg.track_jacobian_drift:
         # pattern of the stored initialization, not of the incoming weights
-        s0 = (ds.X @ p.w0.T >= 0.0).astype(float)
-        stilde0 = s0 * (p.a / math.sqrt(p.m))
-        G0 = XXt * (stilde0 @ stilde0.T)
+        S0 = ds.X @ p.w0.T >= 0.0
 
     records: list[StepRecord] = []
     current = p
+    u = u0  # outputs at current, shared by the step and the record
     for k in range(1, cfg.max_steps + 1):
         stagnated: bool | None = None
         try:
             if cfg.method == "gd":
-                current = gd_step(current, ds, cfg.eta)
+                current = gd_step(current, ds, cfg.eta, u=u)
             elif cfg.method == "kfac":
-                current = kfac_step(current, ds, cfg.eta, cfg.damping)
+                current = kfac_step(current, ds, cfg.eta, cfg.damping, u=u)
             elif cfg.method == "ngd_exact":
-                current = ngd_exact_step(current, ds, cfg.eta, cfg.damping, cfg.loss)
+                current = ngd_exact_step(current, ds, cfg.eta, cfg.damping, cfg.loss, u=u)
             else:  # ngd_cg
                 current, converged = ngd_cg_step(
-                    current, ds, cfg.eta, cfg.damping, cfg.cg_iters, cfg.cg_tol, cfg.loss
+                    current, ds, cfg.eta, cfg.damping, cfg.cg_iters, cfg.cg_tol, cfg.loss, u=u
                 )
                 stagnated = not converged
         except SingularMatrixError as exc:
@@ -483,12 +508,11 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         lam_min = None
         jac_drift = None
         if diagnostics:
-            ap = network.activation_pattern(current, ds.X)
-            G = XXt * (ap.Stilde @ ap.Stilde.T)
+            S = ds.X @ current.w.T >= 0.0  # activation_pattern's S, as bool
             if cfg.track_lambda_min:
-                lam_min = float(np.linalg.eigvalsh(G)[0])
+                lam_min = float(np.linalg.eigvalsh(gram.pattern_gram(XXt, S))[0])
             if cfg.track_jacobian_drift:
-                jac_drift = gram.jacobian_drift(XXt, G, ap.Stilde, G0, stilde0)
+                jac_drift = gram.jacobian_drift(XXt, S, S0)
 
         if cfg.loss.value is not None:
             loss_val = float(np.mean(cfg.loss.value(u, ds.y)))

@@ -79,13 +79,11 @@ def check_conditions(
     if kappa < 1.0:
         raise ValueError(f"kappa = L/mu must be >= 1, got {kappa}")
 
-    jv0 = network.jacobian(p, ds.X)
-    G0 = gram.finite_gram(jv0)
-    lam0 = gram.min_eig(G0)
-    jvc = network.jacobian(p_current, ds.X)
     XXt = ds.X @ ds.X.T
-    G = XXt * (jvc.Stilde @ jvc.Stilde.T)
-    drift = gram.jacobian_drift(XXt, G, jvc.Stilde, G0.M, jv0.Stilde)
+    S0 = network.activation_pattern(p, ds.X).S
+    lam0 = gram.min_eig(gram.pattern_gram(XXt, S0))
+    S = network.activation_pattern(p_current, ds.X).S
+    drift = gram.jacobian_drift(XXt, S, S0)
 
     if lam0 <= PD_FLOOR:
         return ConditionReport(

@@ -73,6 +73,12 @@ def ngd_step_dense(w, a, X, y, eta, grad=squared_grad):
     return w - eta * (J.T @ z).reshape(m, d)
 
 
+def pd_guard_eig(G, damping):
+    """True when G + damping I counts as singular for a solve:
+    lambda_min(G) + damping <= 1e-12, by a symmetric eigensolver."""
+    return float(np.linalg.eigvalsh(G)[0]) + damping <= 1e-12
+
+
 def kfac_step_kron(w, a, X, y, eta):
     """One Kronecker-factored step through the explicit kron matrix.
 

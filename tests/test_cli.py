@@ -12,7 +12,7 @@ from natgrad.cli import main, parse_config
 
 TRACE_HEADER = (
     "k,residual_norm,loss,weight_drift,per_unit_max_drift,"
-    "predicted_bound,lambda_min_G,jacobian_drift"
+    "predicted_bound,lambda_min_G,jacobian_drift,cg_stagnated"
 )
 
 

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from natgrad import (
     activation_pattern,
+    check_conditions,
     finite_gram,
     hadamard_bounds,
     init_network,
@@ -16,6 +17,7 @@ from natgrad import (
     pre_activation_gram,
     synth_sphere,
 )
+from natgrad import gram
 
 
 @pytest.fixture
@@ -38,6 +40,45 @@ def test_finite_gram_factors_through_pattern(ds):
     P = pre_activation_gram(ap).M
     assert np.max(np.abs(G - (ds.X @ ds.X.T) * P)) < 1e-14
     assert P.max() <= 1.0
+
+
+def test_coactivation_counts_are_exact():
+    rng = np.random.default_rng(0)
+    S = rng.integers(-1, 2, size=(7, 5000))
+    C = gram.coactivation(S.astype(float))
+    assert C.dtype == np.float64
+    assert np.array_equal(C, (S @ S.T).astype(float))  # int64 reference
+    B = S != 0  # a 0/1 pattern given as bool
+    assert np.array_equal(gram.coactivation(B), (B.astype(int) @ B.T.astype(int)).astype(float))
+
+
+def test_pre_activation_gram_is_float64_count_product(ds):
+    ap = activation_pattern(init_network(1000, 4, nu=1.0, seed=1), ds.X)
+    assert np.array_equal(pre_activation_gram(ap).M, (ap.S @ ap.S.T) / 1000)
+
+
+@pytest.mark.parametrize("m", [8, 1000, 32768])
+def test_jacobian_drift_is_exactly_zero_without_flips(ds, m):
+    p = init_network(m, 4, nu=1.0, seed=2)
+    moved = p.with_weights(2.0 * p.w)  # exact scaling keeps every sign
+    S0 = activation_pattern(p, ds.X).S
+    S = activation_pattern(moved, ds.X).S
+    assert np.array_equal(S, S0)
+    assert gram.jacobian_drift(ds.X @ ds.X.T, S, S0) == 0.0
+    assert check_conditions(p, moved, ds).jacobian_drift == 0.0
+
+
+def test_jacobian_drift_matches_dense_norm_under_many_flips(ds):
+    p = init_network(64, 4, nu=1.0, seed=3)
+    rng = np.random.default_rng(4)
+    moved = p.with_weights(p.w + 0.3 * rng.standard_normal(p.w.shape))
+    S0 = activation_pattern(p, ds.X).S
+    S = activation_pattern(moved, ds.X).S
+    assert not np.array_equal(S, S0)
+    J0 = oracles.dense_jacobian_loops(p.w, p.a, ds.X)
+    J = oracles.dense_jacobian_loops(moved.w, p.a, ds.X)
+    drift = gram.jacobian_drift(ds.X @ ds.X.T, S, S0)
+    assert drift == pytest.approx(np.linalg.norm(J - J0, 2), rel=1e-12)
 
 
 def test_limiting_gram_diagonal_is_exactly_half(ds):

@@ -30,7 +30,7 @@ from natgrad import (
 
 TRACE_HEADER = (
     "k,residual_norm,loss,weight_drift,per_unit_max_drift,"
-    "predicted_bound,lambda_min_G,jacobian_drift"
+    "predicted_bound,lambda_min_G,jacobian_drift,cg_stagnated"
 )
 
 
@@ -186,6 +186,28 @@ def test_ngd_exact_step_with_damping():
     assert np.allclose(stepped.w.ravel(), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("damping", [0.0, 1e-3])
+@pytest.mark.parametrize("margin", [-1e-3, 0.0, 1e-13, 1e-11, 1e-3])
+def test_solve_gram_guard_matches_eigenvalue_oracle(margin, damping):
+    # G = Q diag(lam) Q^T with lambda_min + damping = margin; the guard must
+    # call the damped matrix singular exactly when the eigenvalue test does
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    lam = np.linspace(0.5, 2.0, 8)
+    lam[0] = margin - damping
+    G = (Q * lam) @ Q.T
+    G = 0.5 * (G + G.T)
+    rhs = rng.standard_normal(8)
+    singular = oracles.pd_guard_eig(G, damping)
+    assert singular == (margin <= 1e-12)  # the construction lands on its side
+    if singular:
+        with pytest.raises(SingularMatrixError, match=r"lambda_min \+ damping = "):
+            ng.optim._solve_gram(G, rhs, damping)
+    else:
+        z = ng.optim._solve_gram(G, rhs, damping)
+        assert np.array_equal(z, np.linalg.solve(G + damping * np.eye(8), rhs))
+
+
 def test_ngd_cg_step_matches_exact_step():
     ds = synth_sphere(8, 4, seed=6)
     p = init_network(24, 4, nu=1.0, seed=7)
@@ -238,8 +260,45 @@ def test_forward_is_linear_within_pattern():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def test_steps_reuse_given_outputs():
+    # passing u = forward(p, X) must give bit-for-bit the step that
+    # computes the outputs itself
+    ds = synth_sphere(8, 4, seed=2)
+    p = init_network(64, 4, nu=1.0, seed=3)
+    u = forward(p, ds.X)
+    steps = {
+        "gd": lambda **kw: gd_step(p, ds, 0.5, **kw),
+        "ngd_exact": lambda **kw: ngd_exact_step(p, ds, 0.5, 0.0, **kw),
+        "ngd_cg": lambda **kw: ngd_cg_step(p, ds, 0.5, 0.0, **kw)[0],
+        "kfac": lambda **kw: kfac_step(p, ds, 0.5, 0.0, **kw),
+    }
+    for name, step in steps.items():
+        assert step(u=u).w.tobytes() == step().w.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # training loop
+
+
+@pytest.mark.parametrize("method", ng.optim.METHODS)
+def test_train_evaluates_network_once_per_iterate(monkeypatch, method):
+    # K steps visit K + 1 iterates, W(0)..W(K), and each is evaluated once
+    ds = synth_sphere(8, 4, seed=4)
+    p = init_network(64, 4, nu=1.0, seed=5)
+    seen = []
+    original = ng.network.forward
+
+    def counting(params, X):
+        seen.append(params.w)
+        return original(params, X)
+
+    monkeypatch.setattr(ng.network, "forward", counting)
+    trace = train(p, ds, OptimizerConfig(method=method, eta=0.5, damping=0.0, max_steps=3))
+    assert len(trace.records) == 3
+    assert len(seen) == 4
+    assert seen[0] is p.w
+    assert seen[-1] is trace.final_params.w
+    assert len({id(w) for w in seen}) == 4
 
 
 def test_train_produces_contracting_trace():
@@ -334,6 +393,10 @@ def test_train_cg_marks_stagnation():
         p, ds, OptimizerConfig(method="ngd_cg", eta=0.5, cg_iters=400, max_steps=2)
     )
     assert all(rec.cg_stagnated is False for rec in healthy.records)
+    # the CSV carries the flag as 1 / 0 in its last column
+    for t, cell in ((trace, "1"), (healthy, "0")):
+        rows = t.csv_text().strip().split("\n")[1:]
+        assert [row.split(",")[-1] for row in rows] == [cell, cell]
 
 
 def test_train_cg_agrees_with_exact_solve():
@@ -367,6 +430,19 @@ def test_train_tracked_diagnostics():
     assert all(rec.jacobian_drift is None for rec in plain.records)
 
 
+@pytest.mark.parametrize("m", [1000, 4096])
+def test_train_lambda_min_is_finite_gram_eigenvalue(m):
+    ds = synth_sphere(8, 4, seed=13)
+    p = init_network(m, 4, nu=1.0, seed=14)
+    cfg = OptimizerConfig(eta=0.5, damping=0.0, max_steps=3, track_lambda_min=True)
+    trace = train(p, ds, cfg)
+    current = p
+    for rec in trace.records:
+        current = ngd_exact_step(current, ds, eta=0.5, damping=0.0)
+        G = ng.finite_gram(jacobian(current, ds.X)).M
+        assert rec.lambda_min_G == float(np.linalg.eigvalsh(G)[0])
+
+
 def test_steps_to_threshold():
     ds = synth_sphere(8, 4, seed=15)
     p = init_network(512, 4, nu=1.0, seed=16)
@@ -393,11 +469,12 @@ def test_trace_csv_layout(tmp_path):
     assert len(lines) == 1 + 4
     for k, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
-        assert len(cells) == 8
+        assert len(cells) == 9
         assert cells[0] == str(k)
         # repr round-trips exactly
         assert float(cells[1]) == trace.records[k - 1].residual_norm
         assert cells[6] == "" and cells[7] == ""  # diagnostics not tracked
+        assert cells[8] == ""  # no CG in ngd_exact
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     assert path.read_text() == text
