@@ -12,9 +12,9 @@ Subcommands:
     report      merge one output directory's artifacts into report.json
 
 Configuration is a JSON object with blocks data, preprocess, model,
-optimizer, output, sweeps (see parse_config).  Scalar flags override
-config fields (--seed beats model.seed, --out beats output.dir), and every
-override is recorded in the manifest.  Identical configuration produces
+optimizer, output, sweeps (see SCHEMA and parse_config).  Scalar flags
+override config fields (--seed beats model.seed, --out beats output.dir),
+and every override is recorded in the manifest.  Identical configuration produces
 byte-identical artifacts; the only timestamp lives in manifest.json.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
@@ -46,7 +46,6 @@ from .data import Dataset
 from .errors import FormatError, NumericalError, SingularMatrixError
 
 COMPARE_THRESHOLD = 1e-3
-SWEEP_KEY_ORDER = ("eta", "m", "seed")
 FORMATS = ("csv", "json")
 
 CONDITION_SCOPE_NOTE = (
@@ -67,184 +66,174 @@ class ConfigError(ValueError):
 # configuration schema
 
 
-def _check_keys(block: dict, allowed: tuple[str, ...], path: str) -> None:
-    extra = sorted(set(block) - set(allowed))
-    if extra:
-        raise ConfigError(f"{path}: unknown key(s) {extra}; allowed: {sorted(allowed)}")
-
-
-def _as_mapping(value, path: str) -> dict:
+def _object(value, allowed, path: str) -> dict:
+    """value, checked to be an object whose keys are all in allowed."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
+    extra = sorted(set(value) - set(allowed))
+    if extra:
+        raise ConfigError(f"{path}: unknown key(s) {extra}; allowed: {sorted(allowed)}")
     return value
 
 
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
+def _data(raw, path: str) -> dict:
+    """Exactly one of a CSV `path` (with its `label_column`) or a `synth` block."""
+    block = _object(raw, ("path", "synth", "label_column"), path)
+    if ("path" in block) == ("synth" in block):
+        raise ConfigError(f"{path}: exactly one of 'path' or 'synth' is required")
+    if "synth" in block:
+        if "label_column" in block:
+            raise ConfigError(f"{path}.label_column: only valid with 'path'")
+        return {"synth": _block(block["synth"], SCHEMA["data.synth"], f"{path}.synth")}
+    label = block.get("label_column", -1)
+    if not isinstance(label, (int, str)) or isinstance(label, bool):
+        raise ConfigError(f"{path}.label_column: expected an integer or column name")
+    return {"path": _coerce(block["path"], "str", f"{path}.path"), "label_column": label}
+
+
+def _loss(value, path: str):
+    """'squared', or {"kind": "squared"} / {"kind": "logcosh", "mu": 0.5}."""
+    if value in (None, "squared"):
+        return "squared"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected 'squared' or an object with kind/mu")
+    kind = _object(value, ("kind", "mu"), path).get("kind")
+    if kind == "squared":
+        return "squared"
+    if kind == "logcosh":
+        return {"kind": "logcosh", "mu": _coerce(value.get("mu", 0.5), "float", f"{path}.mu")}
+    raise ConfigError(f"{path}.kind: expected 'squared' or 'logcosh', got {kind!r}")
+
+
+def _formats(value, path: str) -> list:
+    if not isinstance(value, list) or not value or any(f not in FORMATS for f in value):
+        raise ConfigError(f"{path}: expected a non-empty subset of {list(FORMATS)}, got {value!r}")
+    return sorted(set(value))
+
+
+# Every settable field but the data block's: block -> field -> (kind,
+# default[, inclusive lower bound]).  A kind is "bool", "int", "float" (any
+# finite number, stored as float), "positive" (a float > 0), "str"
+# (non-empty), a tuple of allowed values, or a function (value, path) ->
+# canonical value.  A field whose default is None also takes null.  The
+# optimizer's method and ranges are checked once, by optim.OptimizerConfig
+# (and logcosh's mu by optim.logcosh_loss).
+SCHEMA = {
+    "preprocess": {"forster": ("bool", False), "normalize": ("bool", False)},
+    "model": {"m": ("int", 1024, 1), "nu": ("positive", 1.0), "seed": ("int", 0)},
+    "optimizer": {
+        "method": ("str", "ngd_exact"),
+        "eta": ("float", 0.5),
+        "damping": ("float", None),
+        "cg_iters": ("int", 100),
+        "cg_tol": ("float", 1e-10),
+        "max_steps": ("int", 100),
+        "loss": (_loss, "squared"),
+        "track_lambda_min": ("bool", False),
+        "track_jacobian_drift": ("bool", False),
+    },
+    "output": {"dir": ("str", None), "formats": (_formats, list(FORMATS))},
+    "data.synth": {
+        "n": ("int", 16, 2),
+        "d": ("int", 8, 2),
+        "seed": ("int", 0),
+        "target_model": (data_mod.TARGET_MODELS, "random_pm1"),
+    },
+}
+# Sweep key -> the block holding the field it sweeps; a sweep is a
+# non-empty list of distinct values of that field.
+SWEEPS = {"eta": "optimizer", "m": "model", "seed": "model"}
+BLOCKS = ("data", "preprocess", "model", "optimizer", "output", "sweeps")
+
+_EXPECTED = {
+    "bool": ("true/false", bool),
+    "int": ("an integer", int),
+    "float": ("a number", (int, float)),
+    "positive": ("a number", (int, float)),
+    "str": ("a non-empty string", str),
+}
+
+
+def _coerce(value, kind, path: str, bound=None):
+    """Check one value against a field's kind and bound; return its
+    canonical form."""
+    if callable(kind):
+        return kind(value, path)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{path}: expected one of {list(kind)}, got {value!r}")
+        return value
+    what, types = _EXPECTED[kind]
+    if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool") or value == "":
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    if kind in ("float", "positive"):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite, got {value!r}")
+        if kind == "positive" and value <= 0:
+            raise ConfigError(f"{path}: must be > 0, got {value!r}")
+    if bound is not None and value < bound:
+        raise ConfigError(f"{path}: must be >= {bound}, got {value!r}")
     return value
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_float(
-    value, path: str, minimum: float | None = None, positive: bool = False
-) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
-    if positive and out <= 0:
-        raise ConfigError(f"{path}: must be > 0, got {value!r}")
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
+def _block(raw, spec: dict, path: str) -> dict:
+    """Coerce one block through its table; absent fields take their default."""
+    block = _object(raw, spec, path)
+    out = {}
+    for key, (kind, default, *bound) in spec.items():
+        value = block.get(key, default)
+        if value is not None or default is not None:
+            value = _coerce(value, kind, f"{path}.{key}", *bound)
+        out[key] = value
     return out
 
 
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
-    return value
-
-
-def _parse_data(block, path: str) -> dict:
-    block = _as_mapping(block, path)
-    _check_keys(block, ("path", "synth", "label_column"), path)
-    has_path = "path" in block
-    has_synth = "synth" in block
-    if has_path == has_synth:
-        raise ConfigError(f"{path}: exactly one of 'path' or 'synth' is required")
-    if has_path:
-        out: dict = {"path": _as_str(block["path"], f"{path}.path")}
-        label = block.get("label_column", -1)
-        if not (isinstance(label, str) or (isinstance(label, int) and not isinstance(label, bool))):
-            raise ConfigError(f"{path}.label_column: expected an integer or column name")
-        out["label_column"] = label
-        return out
-    if "label_column" in block:
-        raise ConfigError(f"{path}.label_column: only valid with 'path'")
-    synth = _as_mapping(block["synth"], f"{path}.synth")
-    _check_keys(synth, ("n", "d", "seed", "target_model"), f"{path}.synth")
-    model = synth.get("target_model", "random_pm1")
-    if model not in data_mod.TARGET_MODELS:
-        raise ConfigError(
-            f"{path}.synth.target_model: expected one of {list(data_mod.TARGET_MODELS)}, "
-            f"got {model!r}"
-        )
-    return {
-        "synth": {
-            "n": _as_int(synth.get("n", 16), f"{path}.synth.n", minimum=2),
-            "d": _as_int(synth.get("d", 8), f"{path}.synth.d", minimum=2),
-            "seed": _as_int(synth.get("seed", 0), f"{path}.synth.seed"),
-            "target_model": model,
-        }
-    }
-
-
-def _parse_loss(value, path: str) -> tuple[optim.LossSpec, object]:
-    if value == "squared" or value is None:
-        return optim.squared_loss(), "squared"
-    if isinstance(value, dict):
-        _check_keys(value, ("kind", "mu"), path)
-        kind = value.get("kind")
-        if kind == "squared":
-            return optim.squared_loss(), "squared"
-        if kind == "logcosh":
-            mu = _as_float(value.get("mu", 0.5), f"{path}.mu", positive=True)
-            return optim.logcosh_loss(mu), {"kind": "logcosh", "mu": mu}
-        raise ConfigError(f"{path}.kind: expected 'squared' or 'logcosh', got {kind!r}")
-    raise ConfigError(f"{path}: expected 'squared' or an object with kind/mu")
-
-
-def _parse_optimizer(block, path: str) -> tuple[optim.OptimizerConfig, dict]:
-    block = _as_mapping(block, path)
-    allowed = (
-        "method", "eta", "damping", "cg_iters", "cg_tol", "max_steps",
-        "loss", "track_lambda_min", "track_jacobian_drift",
-    )
-    _check_keys(block, allowed, path)
-    method = block.get("method", "ngd_exact")
-    if method not in optim.METHODS:
-        raise ConfigError(
-            f"{path}.method: expected one of {list(optim.METHODS)}, got {method!r}"
-        )
-    damping = block.get("damping", None)
-    if damping is not None:
-        damping = _as_float(damping, f"{path}.damping", minimum=0.0)
-    loss, loss_desc = _parse_loss(block.get("loss"), f"{path}.loss")
-    kwargs = {
-        "method": method,
-        "eta": _as_float(block.get("eta", 0.5), f"{path}.eta", minimum=0.0),
-        "damping": damping,
-        "cg_iters": _as_int(block.get("cg_iters", 100), f"{path}.cg_iters", minimum=1),
-        "cg_tol": _as_float(block.get("cg_tol", 1e-10), f"{path}.cg_tol", positive=True),
-        "max_steps": _as_int(block.get("max_steps", 100), f"{path}.max_steps", minimum=1),
-        "track_lambda_min": _as_bool(
-            block.get("track_lambda_min", False), f"{path}.track_lambda_min"
-        ),
-        "track_jacobian_drift": _as_bool(
-            block.get("track_jacobian_drift", False), f"{path}.track_jacobian_drift"
-        ),
-    }
-    try:
-        cfg = optim.OptimizerConfig(loss=loss, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    normalized = dict(kwargs)
-    normalized["loss"] = loss_desc
-    return cfg, normalized
-
-
-def _parse_sweeps(block, path: str) -> dict:
-    block = _as_mapping(block, path)
-    _check_keys(block, SWEEP_KEY_ORDER, path)
-    out: dict = {}
-    for key in SWEEP_KEY_ORDER:
+def _sweeps(raw, path: str) -> dict:
+    block = _object(raw, SWEEPS, path)
+    out = {}
+    for key, home in SWEEPS.items():
         if key not in block:
             continue
         values = block[key]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{path}.{key}: expected a non-empty list")
-        if key == "eta":
-            out[key] = [_as_float(v, f"{path}.eta[{i}]", minimum=0.0) for i, v in enumerate(values)]
-        elif key == "m":
-            out[key] = [_as_int(v, f"{path}.m[{i}]", minimum=1) for i, v in enumerate(values)]
-        else:
-            out[key] = [_as_int(v, f"{path}.seed[{i}]") for i, v in enumerate(values)]
+        kind, _, *bound = SCHEMA[home][key]
+        out[key] = [_coerce(v, kind, f"{path}.{key}[{i}]", *bound) for i, v in enumerate(values)]
+        repeats = [v for i, v in enumerate(out[key]) if v in out[key][:i]]
+        if repeats:
+            raise ConfigError(f"{path}.{key}: duplicate value {repeats[0]!r}")
     return out
+
+
+def _optimizer_config(block: dict, path: str) -> optim.OptimizerConfig:
+    loss = block["loss"]
+    try:
+        spec = optim.squared_loss() if loss == "squared" else optim.logcosh_loss(loss["mu"])
+        return optim.OptimizerConfig(**{**block, "loss": spec})
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration: plain blocks plus the built OptimizerConfig."""
+    """Validated configuration: the coerced blocks, which are the canonical
+    form config_hash() hashes, and the OptimizerConfig built from the
+    optimizer block."""
 
     data: dict
     preprocess: dict
     model: dict
-    optimizer: optim.OptimizerConfig
-    optimizer_dict: dict
+    optimizer: dict
     output: dict
     sweeps: dict
+    optimizer_config: optim.OptimizerConfig
 
     def canonical(self) -> dict:
-        return {
-            "data": json.loads(json.dumps(self.data)),
-            "preprocess": dict(self.preprocess),
-            "model": dict(self.model),
-            "optimizer": dict(self.optimizer_dict),
-            "output": {
-                "dir": self.output["dir"],
-                "formats": list(self.output["formats"]),
-            },
-            "sweeps": {k: list(v) for k, v in self.sweeps.items()},
-        }
+        return {name: getattr(self, name) for name in BLOCKS}
 
     def config_hash(self) -> str:
         canon = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
@@ -254,60 +243,22 @@ class ExperimentConfig:
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object against the experiment schema.
 
-    Blocks: data (path or synth block, required), preprocess (forster,
-    normalize), model (m, nu, seed), optimizer (method, eta, damping,
-    cg_iters, cg_tol, max_steps, loss, tracking flags), output (dir,
-    formats), sweeps (lists over eta / m / seed).  Violations raise
-    ConfigError with the offending field path.
+    Blocks: data (path or synth block, required), then preprocess, model,
+    optimizer and output as SCHEMA lists them, and sweeps (lists over
+    eta / m / seed).  Violations raise ConfigError with the offending
+    field path.
     """
-    raw = _as_mapping(raw, "config")
-    _check_keys(raw, ("data", "preprocess", "model", "optimizer", "output", "sweeps"), "config")
+    raw = _object(raw, BLOCKS, "config")
     if "data" not in raw:
         raise ConfigError("config.data: required")
-    data_block = _parse_data(raw["data"], "config.data")
-
-    pre = _as_mapping(raw.get("preprocess", {}), "config.preprocess")
-    _check_keys(pre, ("forster", "normalize"), "config.preprocess")
-    preprocess = {
-        "forster": _as_bool(pre.get("forster", False), "config.preprocess.forster"),
-        "normalize": _as_bool(pre.get("normalize", False), "config.preprocess.normalize"),
-    }
-
-    mod = _as_mapping(raw.get("model", {}), "config.model")
-    _check_keys(mod, ("m", "nu", "seed"), "config.model")
-    model = {
-        "m": _as_int(mod.get("m", 1024), "config.model.m", minimum=1),
-        "nu": _as_float(mod.get("nu", 1.0), "config.model.nu", positive=True),
-        "seed": _as_int(mod.get("seed", 0), "config.model.seed"),
-    }
-
-    ocfg, odict = _parse_optimizer(raw.get("optimizer", {}), "config.optimizer")
-
-    out = _as_mapping(raw.get("output", {}), "config.output")
-    _check_keys(out, ("dir", "formats"), "config.output")
-    out_dir = out.get("dir")
-    if out_dir is not None:
-        out_dir = _as_str(out_dir, "config.output.dir")
-    formats = out.get("formats", list(FORMATS))
-    if not isinstance(formats, list) or not formats:
-        raise ConfigError("config.output.formats: expected a non-empty list")
-    for fmt in formats:
-        if fmt not in FORMATS:
-            raise ConfigError(
-                f"config.output.formats: expected a subset of {list(FORMATS)}, got {fmt!r}"
-            )
-    output = {"dir": out_dir, "formats": sorted(set(formats))}
-
-    sweeps = _parse_sweeps(raw.get("sweeps", {}), "config.sweeps")
-    return ExperimentConfig(
-        data=data_block,
-        preprocess=preprocess,
-        model=model,
-        optimizer=ocfg,
-        optimizer_dict=odict,
-        output=output,
-        sweeps=sweeps,
-    )
+    blocks = {"data": _data(raw["data"], "config.data")}
+    for name in ("preprocess", "model", "optimizer", "output"):
+        blocks[name] = _block(raw.get(name, {}), SCHEMA[name], f"config.{name}")
+    blocks["sweeps"] = _sweeps(raw.get("sweeps", {}), "config.sweeps")
+    ocfg = _optimizer_config(blocks["optimizer"], "config.optimizer")
+    for i, eta in enumerate(blocks["sweeps"].get("eta", [])):
+        _optimizer_config({**blocks["optimizer"], "eta": eta}, f"config.sweeps.eta[{i}]")
+    return ExperimentConfig(**blocks, optimizer_config=ocfg)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -345,20 +296,6 @@ def _dump_json(obj) -> str:
     return json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _atomic_via(writer, path: Path) -> None:
     """Run writer(tmp_path) then rename over path, so readers never see a
     half-written artifact."""
@@ -373,6 +310,10 @@ def _atomic_via(writer, path: Path) -> None:
         except OSError:
             pass
         raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_via(lambda tmp: Path(tmp).write_text(text, encoding="utf-8", newline=""), path)
 
 
 def build_dataset(
@@ -395,6 +336,11 @@ def build_dataset(
     return ds, result
 
 
+def _init_params(model: dict, ds: Dataset) -> network.NetworkParams:
+    """W(0) drawn from a model block's m, nu and seed."""
+    return network.init(model["m"], ds.d, model["nu"], model["seed"])
+
+
 def _forster_sidecar(result: forster_mod.ForsterResult) -> dict:
     return {
         "iterations": result.iterations,
@@ -405,7 +351,7 @@ def _forster_sidecar(result: forster_mod.ForsterResult) -> dict:
 
 
 def _sweep_cells(sweeps: dict) -> list[dict]:
-    keys = [k for k in SWEEP_KEY_ORDER if k in sweeps]
+    keys = [k for k in SWEEPS if k in sweeps]
     if not keys:
         return [{}]
     return [
@@ -421,7 +367,7 @@ def _fmt_value(v) -> str:
 def _cell_name(cell: dict) -> str:
     if not cell:
         return "run"
-    return "__".join(f"{k}={_fmt_value(cell[k])}" for k in SWEEP_KEY_ORDER if k in cell)
+    return "__".join(f"{k}={_fmt_value(cell[k])}" for k in SWEEPS if k in cell)
 
 
 def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) -> Path:
@@ -446,13 +392,12 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
     for cell in _sweep_cells(cfg.sweeps):
         name = _cell_name(cell)
         suffix = f"__{name}" if sweeping else ""
-        m = cell.get("m", cfg.model["m"])
-        seed = cell.get("seed", cfg.model["seed"])
-        ocfg = cfg.optimizer
+        model = {**cfg.model, **cell}  # a cell's m and seed replace the model block's
+        ocfg = cfg.optimizer_config
         if "eta" in cell:
             ocfg = dataclasses.replace(ocfg, eta=cell["eta"])
 
-        params = network.init(m, ds.d, cfg.model["nu"], seed)
+        params = _init_params(model, ds)
         trace = optim.train(params, ds, ocfg)
         report = theory.check_conditions(
             params, trace.final_params, ds, kappa=ocfg.loss.kappa
@@ -479,8 +424,8 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
             {
                 "name": name,
                 "eta": ocfg.eta,
-                "m": m,
-                "seed": seed,
+                "m": model["m"],
+                "seed": model["seed"],
                 "method": ocfg.method,
                 "steps": len(trace.records),
                 "initial_residual_norm": trace.initial_residual_norm,
@@ -523,14 +468,16 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
 # subcommand handlers
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> tuple[ExperimentConfig, dict]:
+def _apply_overrides(
+    cfg: ExperimentConfig, seed: int | None = None, out: str | None = None
+) -> tuple[ExperimentConfig, dict]:
     overrides: dict = {}
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, model={**cfg.model, "seed": args.seed})
-        overrides["model.seed"] = args.seed
-    if getattr(args, "out", None):
-        cfg = dataclasses.replace(cfg, output={**cfg.output, "dir": args.out})
-        overrides["output.dir"] = args.out
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, model={**cfg.model, "seed": seed})
+        overrides["model.seed"] = seed
+    if out:
+        cfg = dataclasses.replace(cfg, output={**cfg.output, "dir": out})
+        overrides["output.dir"] = out
     return cfg, overrides
 
 
@@ -622,7 +569,7 @@ def cmd_gram(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, overrides = _apply_overrides(load_config(args.config), args)
+    cfg, overrides = _apply_overrides(load_config(args.config), args.seed, args.out)
     run_experiment(cfg, overrides, quiet=args.quiet)
     return 0
 
@@ -633,8 +580,7 @@ def cmd_compare(args) -> int:
         return 1
     cfgs = []
     for path in args.config:
-        cfg, _ = _apply_overrides(load_config(path), argparse.Namespace(seed=args.seed, out=None))
-        cfgs.append(cfg)
+        cfgs.append(_apply_overrides(load_config(path), args.seed)[0])
     ref = cfgs[0]
     for i, cfg in enumerate(cfgs[1:], start=2):
         if (
@@ -652,17 +598,17 @@ def cmd_compare(args) -> int:
     ds, _ = build_dataset(ref)
     rows = []
     for cfg in cfgs:
-        params = network.init(cfg.model["m"], ds.d, cfg.model["nu"], cfg.model["seed"])
-        trace = optim.train(params, ds, cfg.optimizer)
+        ocfg = cfg.optimizer_config
+        trace = optim.train(_init_params(cfg.model, ds), ds, ocfg)
         k = len(trace.records)
         r0 = trace.initial_residual_norm
         rk = trace.final_residual_norm
         observed = (rk / r0) ** (1.0 / k) if r0 > 0 and k > 0 else math.nan
-        predicted = optim.predicted_factor(cfg.optimizer, ds)
+        predicted = optim.predicted_factor(ocfg, ds)
         rows.append(
             {
-                "method": cfg.optimizer.method,
-                "eta": cfg.optimizer.eta,
+                "method": ocfg.method,
+                "eta": ocfg.eta,
                 "steps_to_threshold": trace.steps_to_threshold(COMPARE_THRESHOLD),
                 "final_residual": rk,
                 "predicted_factor": predicted,
@@ -717,13 +663,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, _ = _apply_overrides(load_config(args.config), args)
+    cfg, _ = _apply_overrides(load_config(args.config), args.seed, args.out)
     ds, fr = build_dataset(cfg)
-    params = network.init(cfg.model["m"], ds.d, cfg.model["nu"], cfg.model["seed"])
-    trace = optim.train(params, ds, cfg.optimizer)
-    report = theory.check_conditions(
-        params, trace.final_params, ds, kappa=cfg.optimizer.loss.kappa
-    )
+    ocfg = cfg.optimizer_config
+    params = _init_params(cfg.model, ds)
+    trace = optim.train(params, ds, ocfg)
+    report = theory.check_conditions(params, trace.final_params, ds, kappa=ocfg.loss.kappa)
     lam0_inf = gram_mod.min_eig(gram_mod.limiting_gram(ds))
     try:
         bound = dataclasses.asdict(theory.generalization_bound(ds))
@@ -747,8 +692,8 @@ def cmd_verify(args) -> int:
             "note": OVERPARAM_NOTE,
         },
         "trace": {
-            "method": cfg.optimizer.method,
-            "eta": cfg.optimizer.eta,
+            "method": ocfg.method,
+            "eta": ocfg.eta,
             "steps": len(trace.records),
             "initial_residual_norm": trace.initial_residual_norm,
             "final_residual_norm": trace.final_residual_norm,
@@ -768,11 +713,11 @@ def cmd_linearized(args) -> int:
     if args.points < 2:
         print("natgrad linearized: --points must be >= 2", file=sys.stderr)
         return 1
-    cfg, _ = _apply_overrides(load_config(args.config), args)
+    cfg, _ = _apply_overrides(load_config(args.config), args.seed, args.out)
     if cfg.output["dir"] is None:
         raise ConfigError("config.output.dir: required (or pass --out)")
     ds, _ = build_dataset(cfg)
-    params = network.init(cfg.model["m"], ds.d, cfg.model["nu"], cfg.model["seed"])
+    params = _init_params(cfg.model, ds)
     jv = network.jacobian(params, ds.X)
     lm = lin_mod.LinearizedModel(
         jv.dense(), params.w.ravel(), network.forward(params, ds.X), ds.y
@@ -839,9 +784,12 @@ def cmd_report(args) -> int:
         return 3
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    runs = manifest.get("runs", []) if isinstance(manifest, dict) else None
+    if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
+        raise FormatError(f"{manifest_path}: expected an object whose 'runs' is a list of objects")
 
     experiments = []
-    for run in manifest.get("runs", []):
+    for run in runs:
         files = run.get("files", {})
         entry = dict(run)
         if "trace_json" in files and (out_dir / files["trace_json"]).exists():

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, exit codes, artifact contracts."""
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +247,26 @@ def test_train_sweep_names_cells(tmp_path, capsys):
     assert etas["eta=0.25__seed=1"] == 0.25
 
 
+@pytest.mark.parametrize(
+    "sweeps, message",
+    [
+        ({"eta": [0.5, 0.5]}, "config.sweeps.eta: duplicate value 0.5"),
+        ({"eta": [1, 0.25, 1.0]}, "config.sweeps.eta: duplicate value 1.0"),
+        ({"m": [8, 16, 8]}, "config.sweeps.m: duplicate value 8"),
+        ({"eta": [0.5], "seed": [3, 3]}, "config.sweeps.seed: duplicate value 3"),
+    ],
+    ids=["eta", "eta_int_and_float", "m", "seed"],
+)
+def test_train_sweep_rejects_duplicate_values(tmp_path, capsys, sweeps, message):
+    """Two equal values would name two cells alike, and the second cell's
+    artifacts would overwrite the first's."""
+    out = tmp_path / "sweep"
+    cfg = {**base_config(out), "sweeps": sweeps}
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"natgrad: config error: {message}\n"
+    assert not out.exists()
+
+
 def test_train_forster_preprocessing_recorded(tmp_path, capsys):
     out = tmp_path / "fo"
     cfg = base_config(out)
@@ -272,25 +293,52 @@ def test_train_requires_output_dir(tmp_path, capsys):
 # configuration schema and exit codes
 
 
+SCHEMA_VIOLATIONS = [
+    # (blocks replacing base_config's, block path the message starts
+    # with, field it names)
+    ({"data": None}, "config.data", "required"),  # None: drop the block
+    ({"typo": {}}, "config", "typo"),
+    ({"data": {"synth": {"n": 8, "d": 4}, "path": "x.csv"}}, "config.data", "synth"),
+    ({"data": {"synth": {"n": 1, "d": 4}}}, "config.data.synth", "n"),
+    ({"data": {"synth": {"d": 4.0}}}, "config.data.synth", "d"),
+    ({"data": {"synth": {"target_model": "xor"}}}, "config.data.synth", "target_model"),
+    ({"data": {"synth": {"n": 8, "d": 4}, "label_column": 0}}, "config.data", "label_column"),
+    ({"data": {"path": "x.csv", "label_column": 1.5}}, "config.data", "label_column"),
+    ({"preprocess": {"forster": 1}}, "config.preprocess", "forster"),
+    ({"model": {"m": 0}}, "config.model", "m"),
+    ({"model": {"nu": 0}}, "config.model", "nu"),
+    ({"model": {"nu": 10**400}}, "config.model", "nu"),
+    ({"model": {"seed": "0"}}, "config.model", "seed"),
+    ({"optimizer": {"method": "adam"}}, "config.optimizer", "method"),
+    ({"optimizer": {"eta": -1.0}}, "config.optimizer", "eta"),
+    ({"optimizer": {"eta": float("inf")}}, "config.optimizer", "eta"),
+    ({"optimizer": {"damping": -1e-3}}, "config.optimizer", "damping"),
+    ({"optimizer": {"cg_iters": 0}}, "config.optimizer", "cg_iters"),
+    ({"optimizer": {"cg_tol": 0}}, "config.optimizer", "cg_tol"),
+    ({"optimizer": {"max_steps": 0}}, "config.optimizer", "max_steps"),
+    ({"optimizer": {"track_lambda_min": "yes"}}, "config.optimizer", "track_lambda_min"),
+    ({"optimizer": {"loss": {"kind": "hinge"}}}, "config.optimizer", "kind"),
+    ({"optimizer": {"loss": {"kind": "logcosh", "mu": 0}}}, "config.optimizer", "mu"),
+    ({"optimizer": {"method": "kfac", "loss": {"kind": "logcosh"}}}, "config.optimizer", "kfac"),
+    ({"output": {"dir": "o", "formats": ["xml"]}}, "config.output", "formats"),
+    ({"output": {"dir": ""}}, "config.output", "dir"),
+    ({"sweeps": {"eta": []}}, "config.sweeps", "eta"),
+    ({"sweeps": {"eta": [0.5, -1]}}, "config.sweeps", "eta"),
+    ({"sweeps": {"m": [8, 0]}}, "config.sweeps", "m"),
+    ({"sweeps": {"seed": [True]}}, "config.sweeps", "seed"),
+    ({"sweeps": {"gamma": [1]}}, "config.sweeps", "gamma"),
+]
+
+
 def test_config_schema_violations_exit_one(tmp_path, capsys):
-    cases = [
-        {"model": {}},  # missing data block
-        {**base_config(tmp_path), "typo": {}},
-        {**base_config(tmp_path), "data": {"synth": {"n": 8, "d": 4}, "path": "x.csv"}},
-        {**base_config(tmp_path), "data": {"synth": {"n": 1, "d": 4}}},
-        {**base_config(tmp_path), "data": {"synth": {"n": 8, "d": 4}, "label_column": 0}},
-        {**base_config(tmp_path), "optimizer": {"method": "adam"}},
-        {**base_config(tmp_path), "optimizer": {"eta": -1.0}},
-        {**base_config(tmp_path), "optimizer": {"loss": {"kind": "hinge"}}},
-        {**base_config(tmp_path), "output": {"dir": str(tmp_path), "formats": ["xml"]}},
-        {**base_config(tmp_path), "sweeps": {"eta": []}},
-        {**base_config(tmp_path), "sweeps": {"gamma": [1]}},
-        {**base_config(tmp_path), "model": {"m": 0}},
-    ]
-    for i, cfg in enumerate(cases):
+    for i, (patch, block, field) in enumerate(SCHEMA_VIOLATIONS):
+        cfg = {k: v for k, v in {**base_config(tmp_path), **patch}.items() if v is not None}
         cfgp = write_config(tmp_path, cfg, name=f"bad{i}.json")
         assert main(["train", "--config", cfgp, "--quiet"]) == 1, f"case {i}"
-        assert "config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        prefix = f"natgrad: config error: {block}"
+        assert err.startswith(prefix), f"case {i}: {err}"
+        assert re.search(rf"\b{field}\b", err[len(prefix):]), f"case {i}: {err}"
 
 
 def test_malformed_json_exits_three(tmp_path, capsys):
@@ -327,13 +375,56 @@ def test_config_hash_is_key_order_invariant(tmp_path):
     assert parse_config(changed).config_hash() != parse_config(cfg).config_hash()
 
 
+README_CONFIG = {
+    "data": {"synth": {"n": 16, "d": 8, "seed": 1, "target_model": "random_pm1"}},
+    "preprocess": {"forster": False, "normalize": False},
+    "model": {"m": 4096, "nu": 1.0, "seed": 5},
+    "optimizer": {
+        "method": "ngd_exact", "eta": 0.5, "damping": 0.0,
+        "max_steps": 20, "loss": "squared",
+        "track_lambda_min": True, "track_jacobian_drift": True,
+    },
+    "output": {"dir": "runs/demo", "formats": ["csv", "json"]},
+    "sweeps": {"eta": [0.25, 0.5, 0.75]},
+}
+
+
+@pytest.mark.parametrize(
+    "raw, digest",
+    [
+        (README_CONFIG, "b7bf73a5914e2c209f4a8cdcb1707efc53a351cadc5c12d7218c8b8694dd3c9b"),
+        ({"data": {"synth": {}}}, "849af80cf1642e0b4edaea8e93490c932f6fb4b696ab014ed2a1dba7ee567fa9"),
+        (
+            {
+                "data": {"path": "x.csv", "label_column": "y"},
+                "optimizer": {
+                    "method": "ngd_cg", "loss": {"kind": "logcosh", "mu": 2}, "eta": 1,
+                },
+                "sweeps": {"m": [8, 16], "seed": [1]},
+            },
+            "cbca95ef37c9e3bc650e1e231c0206b8b2c4ced2a33fb5fd2f83e94d7597c5a7",
+        ),
+    ],
+    ids=["readme", "defaults", "path_logcosh_sweeps"],
+)
+def test_config_hash_golden(raw, digest):
+    """The canonical form, and so every recorded config_hash, is pinned."""
+    assert parse_config(raw).config_hash() == digest
+
+
 def test_config_defaults():
     cfg = parse_config({"data": {"synth": {}}})
     assert cfg.model == {"m": 1024, "nu": 1.0, "seed": 0}
     assert cfg.data["synth"] == {"n": 16, "d": 8, "seed": 0, "target_model": "random_pm1"}
     assert cfg.output == {"dir": None, "formats": ["csv", "json"]}
-    assert cfg.optimizer.method == "ngd_exact"
-    assert cfg.optimizer.eta == 0.5
+    assert cfg.optimizer == {
+        "method": "ngd_exact", "eta": 0.5, "damping": None, "cg_iters": 100,
+        "cg_tol": 1e-10, "max_steps": 100, "loss": "squared",
+        "track_lambda_min": False, "track_jacobian_drift": False,
+    }
+    assert cfg.optimizer_config.method == "ngd_exact"
+    assert cfg.optimizer_config.eta == 0.5
+    assert cfg.optimizer_config.loss.kind == "squared"
     assert cfg.sweeps == {}
 
 
@@ -480,6 +571,19 @@ def test_report_missing_manifest_exits_three(tmp_path, capsys):
     assert main(["report", "--out", str(empty)]) == 3
     assert "no manifest.json" in capsys.readouterr().err
     assert main(["report"]) == 1  # --out required
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [[1, 2], {"runs": 5}, {"runs": [{"name": "run"}, 3]}],
+    ids=["root_list", "runs_number", "run_number"],
+)
+def test_report_malformed_manifest_exits_three(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("natgrad: input error: ") and "manifest.json" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------
