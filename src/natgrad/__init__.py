@@ -48,7 +48,6 @@ from .linearized import (
     t_infinity,
 )
 from .network import (
-    ActivationPattern,
     JacobianView,
     NetworkParams,
     activation_pattern,
@@ -85,7 +84,6 @@ from .theory import (
 
 __all__ = [
     "__version__",
-    "ActivationPattern",
     "ConditionReport",
     "ConvergenceTrace",
     "DataValidationReport",

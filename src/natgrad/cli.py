@@ -773,6 +773,12 @@ def _trace_summary_from_csv(path: Path) -> dict:
     return {"steps": records, "final_residual_norm": final, "source": path.name}
 
 
+def _strings(value, kind: type) -> bool:
+    """value is a kind (list or dict) whose items (or values) are all strings."""
+    items = value.values() if isinstance(value, dict) else value
+    return isinstance(value, kind) and all(isinstance(v, str) for v in items)
+
+
 def cmd_report(args) -> int:
     if not args.out:
         print("natgrad report: --out (the run directory) is required", file=sys.stderr)
@@ -785,8 +791,15 @@ def cmd_report(args) -> int:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     runs = manifest.get("runs", []) if isinstance(manifest, dict) else None
-    if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
-        raise FormatError(f"{manifest_path}: expected an object whose 'runs' is a list of objects")
+    if not (
+        isinstance(runs, list)
+        and all(isinstance(run, dict) and _strings(run.get("files", {}), dict) for run in runs)
+        and _strings(manifest.get("artifacts", []), list)
+    ):
+        raise FormatError(
+            f"{manifest_path}: expected an object whose 'runs' is a list of objects, "
+            "each run's 'files' an object of strings, and 'artifacts' a list of strings"
+        )
 
     experiments = []
     for run in runs:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .network import ActivationPattern, JacobianView
+from .network import JacobianView
 
 SYMMETRY_TOL = 1e-9
 PD_FLOOR = 1e-12  # lambda_min (+ damping) a matrix needs to count as positive definite
@@ -61,8 +61,7 @@ def coactivation(S: np.ndarray) -> np.ndarray:
     Every entry and every partial sum of the product is an integer of
     magnitude at most m, which float32 holds exactly while m < 2^24, so
     the product runs in float32 (about twice as fast) with no rounding.
-    Wider patterns use float64.  A signed pattern (a_r S[i, r]) gives the
-    same counts, since a_r^2 = 1.
+    Wider patterns use float64.
     """
     F = S.astype(np.float32 if S.shape[1] < FLOAT32_EXACT_LIMIT else np.float64, copy=False)
     return (F @ F.T).astype(np.float64)
@@ -77,11 +76,10 @@ def finite_gram(jv: JacobianView) -> GramMatrix:
     """J J^T via the factored formula: entrywise product of X X^T with
     S S^T / m.
 
-    The signs in Stilde square away, so Stilde Stilde^T = S S^T / m with
-    S the 0/1 pattern of Stilde's nonzeros: the co-activation counts are
-    exact, and no dense Jacobian is needed.
+    The signs a_r square away, so only the 0/1 pattern enters: the
+    co-activation counts are exact, and no dense Jacobian is needed.
     """
-    return GramMatrix(M=pattern_gram(jv.X @ jv.X.T, jv.Stilde != 0), kind="finite")
+    return GramMatrix(M=pattern_gram(jv.X @ jv.X.T, jv.S), kind="finite")
 
 
 def jacobian_drift(XXt: np.ndarray, S: np.ndarray, S0: np.ndarray) -> float:
@@ -132,13 +130,13 @@ def mc_limiting_gram(
     return GramMatrix(M=M, kind="limiting"), stderr
 
 
-def pre_activation_gram(ap: ActivationPattern) -> GramMatrix:
-    """(1/m) S S^T from the unsigned 0/1 pattern; diagonal at most 1.
+def pre_activation_gram(S: np.ndarray) -> GramMatrix:
+    """(1/m) S S^T from the 0/1 pattern S; diagonal at most 1.
 
     Scaled so that the finite Gram is exactly the entrywise product of
     X X^T with this matrix.
     """
-    return GramMatrix(M=coactivation(ap.S) / ap.S.shape[1], kind="pre_activation")
+    return GramMatrix(M=coactivation(S) / S.shape[1], kind="pre_activation")
 
 
 def min_eig(g: GramMatrix | np.ndarray) -> float:

@@ -5,8 +5,9 @@
 Only w is ever updated; the output signs a and the initialization snapshot
 w0 are frozen at construction.  The Jacobian of the output vector with
 respect to the flattened weights factors as a row-wise Khatri-Rao product
-of a signed activation pattern and the input matrix, so consumers work
-with that factor pair instead of the dense n x (m*d) matrix whenever they
+of the activation pattern S (n x m, 0/1, from activation_pattern) and the
+input matrix, with unit r scaled by a_r / sqrt(m).  Consumers work with
+the factors (X, S, a) instead of the dense n x (m*d) matrix whenever they
 can.
 """
 from __future__ import annotations
@@ -64,26 +65,19 @@ class NetworkParams:
 
 
 @dataclass(frozen=True)
-class ActivationPattern:
-    """S[i, r] = 1{w_r . x_i >= 0} and its signed, scaled companion
-    Stilde[i, r] = a_r * S[i, r] / sqrt(m)."""
-
-    S: np.ndarray
-    Stilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class JacobianView:
-    """The output Jacobian held as the factor pair (X, Stilde).
+    """The output Jacobian held as its factors (X, S, a).
 
     Block layout is unit-major: row i is m consecutive blocks of length d,
-    block r being Stilde[i, r] * x_i.  All consumers need only n x n or
-    m x d shaped products, so the dense matrix is materialized only by
-    oracles and tests.
+    block r being scale[r] S[i, r] x_i.  Products apply scale = a / sqrt(m)
+    on their m-sized side, so no signed n x m pattern is formed.  All
+    consumers need only n x n or m x d shaped products, so the dense
+    matrix is materialized only by oracles and tests.
     """
 
     X: np.ndarray
-    Stilde: np.ndarray
+    S: np.ndarray
+    a: np.ndarray
 
     @property
     def n(self) -> int:
@@ -91,24 +85,29 @@ class JacobianView:
 
     @property
     def m(self) -> int:
-        return self.Stilde.shape[1]
+        return self.S.shape[1]
 
     @property
     def d(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def scale(self) -> np.ndarray:
+        """a / sqrt(m), the per-unit factor of the blocks."""
+        return self.a / np.sqrt(self.m)
+
     def dense(self) -> np.ndarray:
         """Materialize the n x (m*d) matrix."""
-        return np.einsum("ir,ic->irc", self.Stilde, self.X).reshape(self.n, self.m * self.d)
+        return np.einsum("ir,r,ic->irc", self.S, self.scale, self.X).reshape(self.n, -1)
 
     def apply_weights(self, V: np.ndarray) -> np.ndarray:
         """J @ vec(V) for an m x d weight perturbation V, as a length-n vector."""
-        return np.einsum("ir,rc,ic->i", self.Stilde, V, self.X)
+        return np.einsum("ir,rc,ic->i", self.S, V * self.scale[:, None], self.X)
 
     def grad_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """J.T @ rho reshaped to m x d (unit-major layout makes this
-        Stilde.T @ diag(rho) @ X)."""
-        return self.Stilde.T @ (rho[:, None] * self.X)
+        """J.T @ rho reshaped to m x d: S^T diag(rho) X, rows times scale."""
+        G = (rho[:, None] * self.X).T @ self.S  # d x m
+        return np.multiply(G, self.scale, out=G).T  # in place: no second d x m array
 
 
 def init(m: int, d: int, nu: float, seed: int) -> NetworkParams:
@@ -132,17 +131,19 @@ def forward(p: NetworkParams, X: np.ndarray) -> np.ndarray:
     return (np.maximum(X @ p.w.T, 0.0) @ p.a) / np.sqrt(p.m)
 
 
-def activation_pattern(p: NetworkParams, X: np.ndarray) -> ActivationPattern:
-    """ReLU derivative indicators; ties w_r . x_i = 0 count as active."""
+def activation_pattern(p: NetworkParams, X: np.ndarray) -> np.ndarray:
+    """S[i, r] = 1{w_r . x_i >= 0} as an n x m float64 0/1 array (float64
+    keeps its products in BLAS); ties count as active.  The one place this
+    rule is written for network weights: every consumer reads this array."""
     X = _check_inputs(p, X)
-    S = (X @ p.w.T >= 0.0).astype(float)
-    return ActivationPattern(S=S, Stilde=S * (p.a / np.sqrt(p.m)))
+    Z = X @ p.w.T
+    return np.greater_equal(Z, 0.0, out=Z)  # in place: no bool temporary
 
 
 def jacobian(p: NetworkParams, X: np.ndarray) -> JacobianView:
     """Jacobian of forward(p, X) with respect to vec(w), as factors."""
     X = _check_inputs(p, X)
-    return JacobianView(X=X, Stilde=activation_pattern(p, X).Stilde)
+    return JacobianView(X=X, S=activation_pattern(p, X), a=p.a)
 
 
 def save_params(p: NetworkParams, path) -> None:

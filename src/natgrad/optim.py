@@ -12,12 +12,15 @@ The natural-gradient solve goes through the n x n output Gram J J^T rather
 than the p x p parameter matrix, so its cost is governed by the sample
 count, not the parameter count.  K-FAC replaces the Gram inverse with a
 Kronecker factorization: a unit-side factor S~ S~^T and an input-side
-factor X^T X, each inverted separately.  With damping = 0 the unit-side
-factor is applied through its Moore-Penrose pseudoinverse.
+factor X^T X, each inverted separately.  S~ = S diag(a) / sqrt(m) for the
+0/1 pattern S of network.activation_pattern is never formed: S~ S~^T is
+S S^T / m, and a / sqrt(m) scales the m x d side of each product.  With
+damping = 0 the unit-side factor is applied through its pseudoinverse.
 
 train() drives any of these for a fixed number of steps and records a
 ConvergenceTrace: per-step residual norm, loss, weight drift from
-initialization, and the predicted geometric bound on the squared residual.
+initialization, the predicted geometric bound on the squared residual,
+and optional diagnostics read from the same activation pattern.
 """
 from __future__ import annotations
 
@@ -319,9 +322,8 @@ def kfac_step(
         )
     if u is None:
         u = network.forward(p, ds.X)
-    ap = network.activation_pattern(p, ds.X)
-    St = ap.Stilde
-    A = St @ St.T
+    S = network.activation_pattern(p, ds.X)
+    A = (S @ S.T) / p.m  # S~ S~^T, from exact float64 counts
     scaled = (u - ds.y)[:, None] * ds.X  # diag(rho) X, n x d
     if damping is None:
         damping = _auto_damping(A)
@@ -329,7 +331,7 @@ def kfac_step(
         middle = np.linalg.pinv(A, hermitian=True) @ scaled
     else:
         middle = _solve_gram(A, scaled, damping, "unit factor")
-    update = np.linalg.solve(XtX, (St.T @ middle).T).T  # S~^T middle (X^T X)^{-1}
+    update = np.linalg.solve(XtX, (middle.T @ S) * (p.a / np.sqrt(p.m))).T  # S~^T middle (X^T X)^-1
     return p.with_weights(p.w - eta * update)
 
 
@@ -400,11 +402,7 @@ class ConvergenceTrace:
     def csv_text(self) -> str:
         lines = [",".join(TRACE_COLUMNS)]
         for rec in self.records:
-            row = [str(rec.k)]
-            row += [
-                _cell(getattr(rec, name))
-                for name in TRACE_COLUMNS[1:]
-            ]
+            row = [str(rec.k)] + [_cell(getattr(rec, name)) for name in TRACE_COLUMNS[1:]]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
@@ -420,17 +418,7 @@ class ConvergenceTrace:
             "final_residual_norm": _jsonable(self.final_residual_norm),
             "steps": len(self.records),
             "records": [
-                {
-                    "k": rec.k,
-                    "residual_norm": _jsonable(rec.residual_norm),
-                    "loss": _jsonable(rec.loss),
-                    "weight_drift": _jsonable(rec.weight_drift),
-                    "per_unit_max_drift": _jsonable(rec.per_unit_max_drift),
-                    "predicted_bound": _jsonable(rec.predicted_bound),
-                    "lambda_min_G": _jsonable(rec.lambda_min_G),
-                    "jacobian_drift": _jsonable(rec.jacobian_drift),
-                    "cg_stagnated": rec.cg_stagnated,
-                }
+                {name: _jsonable(getattr(rec, name)) for name in TRACE_COLUMNS}
                 for rec in self.records
             ],
         }
@@ -476,7 +464,7 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         XXt = ds.X @ ds.X.T
     if cfg.track_jacobian_drift:
         # pattern of the stored initialization, not of the incoming weights
-        S0 = ds.X @ p.w0.T >= 0.0
+        S0 = network.activation_pattern(p.with_weights(p.w0), ds.X)
 
     records: list[StepRecord] = []
     current = p
@@ -508,11 +496,12 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         lam_min = None
         jac_drift = None
         if diagnostics:
-            S = ds.X @ current.w.T >= 0.0  # activation_pattern's S, as bool
+            S = network.activation_pattern(current, ds.X)
             if cfg.track_lambda_min:
                 lam_min = float(np.linalg.eigvalsh(gram.pattern_gram(XXt, S))[0])
             if cfg.track_jacobian_drift:
                 jac_drift = gram.jacobian_drift(XXt, S, S0)
+            del S  # an n x m array; do not hold it through the next step
 
         if cfg.loss.value is not None:
             loss_val = float(np.mean(cfg.loss.value(u, ds.y)))

@@ -80,10 +80,9 @@ def check_conditions(
         raise ValueError(f"kappa = L/mu must be >= 1, got {kappa}")
 
     XXt = ds.X @ ds.X.T
-    S0 = network.activation_pattern(p, ds.X).S
+    S0 = network.activation_pattern(p, ds.X)
     lam0 = gram.min_eig(gram.pattern_gram(XXt, S0))
-    S = network.activation_pattern(p_current, ds.X).S
-    drift = gram.jacobian_drift(XXt, S, S0)
+    drift = gram.jacobian_drift(XXt, network.activation_pattern(p_current, ds.X), S0)
 
     if lam0 <= PD_FLOOR:
         return ConditionReport(

@@ -575,8 +575,24 @@ def test_report_missing_manifest_exits_three(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "manifest",
-    [[1, 2], {"runs": 5}, {"runs": [{"name": "run"}, 3]}],
-    ids=["root_list", "runs_number", "run_number"],
+    [
+        [1, 2],
+        {"runs": 5},
+        {"runs": [{"name": "run"}, 3]},
+        {"runs": [], "artifacts": 5},
+        {"runs": [], "artifacts": [1]},
+        {"runs": [{"files": [1]}]},
+        {"runs": [{"files": {"trace_json": 7}}]},
+    ],
+    ids=[
+        "root_list",
+        "runs_number",
+        "run_number",
+        "artifacts_number",
+        "artifact_number",
+        "files_list",
+        "file_number",
+    ],
 )
 def test_report_malformed_manifest_exits_three(tmp_path, capsys, manifest):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))

@@ -35,9 +35,9 @@ def test_finite_gram_equals_dense_product(ds):
 
 def test_finite_gram_factors_through_pattern(ds):
     p = init_network(20, 4, nu=1.0, seed=1)
-    ap = activation_pattern(p, ds.X)
+    S = activation_pattern(p, ds.X)
     G = finite_gram(jacobian(p, ds.X)).M
-    P = pre_activation_gram(ap).M
+    P = pre_activation_gram(S).M
     assert np.max(np.abs(G - (ds.X @ ds.X.T) * P)) < 1e-14
     assert P.max() <= 1.0
 
@@ -53,16 +53,16 @@ def test_coactivation_counts_are_exact():
 
 
 def test_pre_activation_gram_is_float64_count_product(ds):
-    ap = activation_pattern(init_network(1000, 4, nu=1.0, seed=1), ds.X)
-    assert np.array_equal(pre_activation_gram(ap).M, (ap.S @ ap.S.T) / 1000)
+    S = activation_pattern(init_network(1000, 4, nu=1.0, seed=1), ds.X)
+    assert np.array_equal(pre_activation_gram(S).M, (S @ S.T) / 1000)
 
 
 @pytest.mark.parametrize("m", [8, 1000, 32768])
 def test_jacobian_drift_is_exactly_zero_without_flips(ds, m):
     p = init_network(m, 4, nu=1.0, seed=2)
     moved = p.with_weights(2.0 * p.w)  # exact scaling keeps every sign
-    S0 = activation_pattern(p, ds.X).S
-    S = activation_pattern(moved, ds.X).S
+    S0 = activation_pattern(p, ds.X)
+    S = activation_pattern(moved, ds.X)
     assert np.array_equal(S, S0)
     assert gram.jacobian_drift(ds.X @ ds.X.T, S, S0) == 0.0
     assert check_conditions(p, moved, ds).jacobian_drift == 0.0
@@ -72,8 +72,8 @@ def test_jacobian_drift_matches_dense_norm_under_many_flips(ds):
     p = init_network(64, 4, nu=1.0, seed=3)
     rng = np.random.default_rng(4)
     moved = p.with_weights(p.w + 0.3 * rng.standard_normal(p.w.shape))
-    S0 = activation_pattern(p, ds.X).S
-    S = activation_pattern(moved, ds.X).S
+    S0 = activation_pattern(p, ds.X)
+    S = activation_pattern(moved, ds.X)
     assert not np.array_equal(S, S0)
     J0 = oracles.dense_jacobian_loops(p.w, p.a, ds.X)
     J = oracles.dense_jacobian_loops(moved.w, p.a, ds.X)

@@ -2,7 +2,8 @@
 
 Modules may import only modules earlier in ORDER, which refines
 data -> network -> gram -> {theory, optim, linearized} -> cli.  No module
-reaches into another's private names, and PD_FLOOR is defined once.
+reaches into another's private names, PD_FLOOR is defined once, and the
+activation tie rule is written once for network weights.
 """
 import ast
 from pathlib import Path
@@ -86,3 +87,30 @@ def test_pd_floor_defined_once():
         if isinstance(target, ast.Name) and target.id == "PD_FLOOR"
     ]
     assert defined == ["gram"]
+
+
+def test_tie_rule_written_once():
+    """The activation rule z >= 0.0, written as a comparison or as
+    np.greater_equal(z, 0.0), appears in network.activation_pattern for
+    network weights and in gram.mc_limiting_gram for its random draws,
+    nowhere else."""
+
+    def is_rule(node):
+        if isinstance(node, ast.Compare):
+            op, right = node.ops[0], node.comparators[0]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "greater_equal":
+            op, right = ast.GtE(), node.args[1]
+        else:
+            return False
+        value = getattr(right, "value", None)
+        return isinstance(op, ast.GtE) and type(value) is float and value == 0.0
+
+    found = [
+        f"{name}.{fn.name}"
+        for name in ORDER
+        for fn in ast.walk(parse(name))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if is_rule(node)
+    ]
+    assert sorted(found) == ["gram.mc_limiting_gram", "network.activation_pattern"]

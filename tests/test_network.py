@@ -84,7 +84,8 @@ def test_activation_ties_count_as_active(inputs):
     w = np.zeros((3, 5))
     w[1] = 1.0  # rows 0 and 2 give z = 0 everywhere
     p = NetworkParams(w=w, a=np.ones(3), nu=1.0, w0=w.copy())
-    S = activation_pattern(p, inputs).S
+    S = activation_pattern(p, inputs)
+    assert S.shape == (len(inputs), 3) and S.dtype == np.float64
     assert np.array_equal(S[:, 0], np.ones(len(inputs)))
     assert np.array_equal(S[:, 2], np.ones(len(inputs)))
 

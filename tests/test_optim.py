@@ -500,6 +500,8 @@ def test_trace_json_round_trip(tmp_path):
     assert doc["eta"] == 0.25
     assert doc["steps"] == 3
     assert len(doc["records"]) == 3
+    assert list(doc["records"][0]) == sorted(TRACE_HEADER.split(","))  # the CSV's columns
+    assert [rec["k"] for rec in doc["records"]] == [1, 2, 3]
     assert doc["records"][0]["residual_norm"] == trace.records[0].residual_norm
     assert all(rec["cg_stagnated"] in (True, False) for rec in doc["records"])
     gd = train(p, ds, OptimizerConfig(method="gd", eta=0.5, max_steps=2))
