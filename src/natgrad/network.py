@@ -128,7 +128,8 @@ def init(m: int, d: int, nu: float, seed: int) -> NetworkParams:
 def forward(p: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Network outputs u_i = (1/sqrt(m)) sum_r a_r max(w_r . x_i, 0)."""
     X = _check_inputs(p, X)
-    return (np.maximum(X @ p.w.T, 0.0) @ p.a) / np.sqrt(p.m)
+    Z = X @ p.w.T
+    return (np.maximum(Z, 0.0, out=Z) @ p.a) / np.sqrt(p.m)  # in place: one n x m array
 
 
 def activation_pattern(p: NetworkParams, X: np.ndarray) -> np.ndarray:

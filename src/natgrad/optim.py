@@ -322,8 +322,8 @@ def kfac_step(
         )
     if u is None:
         u = network.forward(p, ds.X)
-    S = network.activation_pattern(p, ds.X)
-    A = (S @ S.T) / p.m  # S~ S~^T, from exact float64 counts
+    jv = network.jacobian(p, ds.X)  # S~ = S diag(jv.scale)
+    A = (jv.S @ jv.S.T) / p.m  # S~ S~^T, from exact float64 counts
     scaled = (u - ds.y)[:, None] * ds.X  # diag(rho) X, n x d
     if damping is None:
         damping = _auto_damping(A)
@@ -331,7 +331,7 @@ def kfac_step(
         middle = np.linalg.pinv(A, hermitian=True) @ scaled
     else:
         middle = _solve_gram(A, scaled, damping, "unit factor")
-    update = np.linalg.solve(XtX, (middle.T @ S) * (p.a / np.sqrt(p.m))).T  # S~^T middle (X^T X)^-1
+    update = np.linalg.solve(XtX, (middle.T @ jv.S) * jv.scale).T  # S~^T middle (X^T X)^-1
     return p.with_weights(p.w - eta * update)
 
 
