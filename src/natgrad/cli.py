@@ -819,14 +819,19 @@ def cmd_report(args) -> int:
         else:
             entry["conditions"] = None
         experiments.append(entry)
-    experiments.sort(
-        key=lambda e: (
-            e.get("eta") if e.get("eta") is not None else -1.0,
-            e.get("m") or 0,
-            e.get("seed") or 0,
-            e.get("name") or "",
+    try:
+        experiments.sort(
+            key=lambda e: (
+                e.get("eta") if e.get("eta") is not None else -1.0,
+                e.get("m") or 0,
+                e.get("seed") or 0,
+                e.get("name") or "",
+            )
         )
-    )
+    except TypeError as exc:  # e.g. a string eta beside a numeric one
+        raise FormatError(
+            f"{manifest_path}: runs mix value types in eta, m, seed or name ({exc})"
+        ) from None
 
     doc = {
         "config_hash": manifest.get("config_hash"),

@@ -15,7 +15,8 @@ Kronecker factorization: a unit-side factor S~ S~^T and an input-side
 factor X^T X, each inverted separately.  S~ = S diag(a) / sqrt(m) for the
 0/1 pattern S of network.activation_pattern is never formed: S~ S~^T is
 S S^T / m, and a / sqrt(m) scales the m x d side of each product.  With
-damping = 0 the unit-side factor is applied through its pseudoinverse.
+damping = 0 the unit-side factor gets the output Gram's guarded solve; its
+pseudoinverse is the fallback only when that PD guard fails.
 
 train() drives any of these for a fixed number of steps and records a
 ConvergenceTrace: per-step residual norm, loss, weight drift from
@@ -159,28 +160,33 @@ def _auto_damping(G: np.ndarray) -> float:
 def _solve_gram(
     G: np.ndarray, rhs: np.ndarray, damping: float | None, what: str = "output Gram"
 ) -> np.ndarray:
-    """Solve (G + damping I) z = rhs with a positive-definiteness guard.
+    """Solve (G + damping I) z = rhs behind _guarded_solve's guard.
 
     damping = None picks a relative default, 1e-8 tr(G)/n.  Raises
-    SingularMatrixError, naming the matrix as `what`, when the damped
-    matrix is not safely positive definite: lambda_min + damping <=
-    PD_FLOOR, tested as the failure of a Cholesky factorization of
-    G + damping I - PD_FLOOR I.  Only that failure pays for eigvalsh,
-    to report lambda_min.
+    SingularMatrixError, naming the matrix as `what`, when the guard
+    fails; only then is eigvalsh paid for, to report lambda_min.
     """
     if damping is None:
         damping = _auto_damping(G)
-    A = G + damping * np.eye(G.shape[0]) if damping > 0 else G
-    shifted = A.copy()
-    shifted.flat[:: A.shape[0] + 1] -= PD_FLOOR  # A - PD_FLOOR I
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
+    z = _guarded_solve(G + damping * np.eye(G.shape[0]) if damping > 0 else G, rhs)
+    if z is None:
         lam_min = float(np.linalg.eigvalsh(G)[0])
         raise SingularMatrixError(
             f"{what} is numerically singular: lambda_min + damping = "
             f"{lam_min + damping:.3e} <= {PD_FLOOR:.0e}"
-        ) from None
+        )
+    return z
+
+
+def _guarded_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """np.linalg.solve(A, rhs) if A - PD_FLOOR I has a Cholesky factor, the
+    guard for lambda_min(A) > PD_FLOOR (safely positive definite); else None."""
+    shifted = A.copy()
+    shifted.flat[:: A.shape[0] + 1] -= PD_FLOOR
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
     return np.linalg.solve(A, rhs)
 
 
@@ -311,8 +317,9 @@ def kfac_step(
 
     W <- W - eta S~^T (S~ S~^T + damping I)^{-1} diag(u - y) X (X^T X)^{-1}
 
-    The input factor X^T X must be invertible (rank-d inputs); the unit
-    factor S~ S~^T is pseudoinverted when damping = 0, so a rank-deficient
+    The input factor X^T X must be invertible (rank-d inputs).  With
+    damping = 0 the unit factor S~ S~^T gets a guarded solve first and is
+    pseudoinverted only when the PD guard fails, so a rank-deficient
     activation pattern is handled in the least-squares sense.
     """
     XtX = ds.X.T @ ds.X
@@ -327,11 +334,11 @@ def kfac_step(
     scaled = (u - ds.y)[:, None] * ds.X  # diag(rho) X, n x d
     if damping is None:
         damping = _auto_damping(A)
-    if damping == 0.0:
-        middle = np.linalg.pinv(A, hermitian=True) @ scaled
-    else:
+    if damping > 0.0:
         middle = _solve_gram(A, scaled, damping, "unit factor")
-    update = np.linalg.solve(XtX, (middle.T @ jv.S) * jv.scale).T  # S~^T middle (X^T X)^-1
+    elif (middle := _guarded_solve(A, scaled)) is None:  # rank-deficient pattern
+        middle = np.linalg.pinv(A, hermitian=True) @ scaled  # least squares
+    update = ((np.linalg.solve(XtX, middle.T) @ jv.S) * jv.scale).T  # S~^T middle (X^T X)^-1
     return p.with_weights(p.w - eta * update)
 
 

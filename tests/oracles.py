@@ -63,13 +63,26 @@ def logcosh_grad(mu):
     return lambda u, y: mu * (u - y) + np.tanh(u - y)
 
 
-def ngd_step_dense(w, a, X, y, eta, grad=squared_grad):
-    """One natural-gradient step via the dense pseudo-inverse of J J^T,
-    against the output-space loss gradient grad(u, y)."""
+def gd_step_dense(w, a, X, y, eta):
+    """One gradient-descent step on the mean squared loss through the dense
+    Jacobian: w - (eta / n) J^T (u - y)."""
+    J = dense_jacobian_loops(w, a, X)
+    u = relu_forward_loops(w, a, X)
+    return w - (eta / X.shape[0]) * (J.T @ (u - y)).reshape(w.shape)
+
+
+def ngd_step_dense(w, a, X, y, eta, grad=squared_grad, damping=0.0):
+    """One natural-gradient step through the dense J J^T, against the
+    output-space loss gradient grad(u, y): the pseudo-inverse of J J^T when
+    damping = 0, else a solve of J J^T + damping I."""
     m, d = w.shape
     J = dense_jacobian_loops(w, a, X)
     u = relu_forward_loops(w, a, X)
-    z = np.linalg.pinv(J @ J.T) @ grad(u, y)
+    G = J @ J.T
+    if damping == 0.0:
+        z = np.linalg.pinv(G) @ grad(u, y)
+    else:
+        z = np.linalg.solve(G + damping * np.eye(G.shape[0]), grad(u, y))
     return w - eta * (J.T @ z).reshape(m, d)
 
 
@@ -96,6 +109,22 @@ def kfac_step_kron(w, a, X, y, eta):
     K = np.kron(np.linalg.inv(X.T @ X), np.linalg.pinv(St.T @ St))
     delta = K @ Ghat.flatten(order="F")
     return w - eta * delta.reshape((m, d), order="F")
+
+
+def kfac_step_pinv(w, a, X, y, eta):
+    """One Kronecker-factored step in factored form, vectorized for shapes
+    where kfac_step_kron's kron matrix is too large:
+
+        W - eta S~^T pinv(S~ S~^T) diag(u - y) X inv(X^T X)
+
+    with the unit factor always pseudoinverted.
+    """
+    m = w.shape[0]
+    Z = X @ w.T
+    St = (Z >= 0.0) * (a / np.sqrt(m))  # n x m
+    rho = np.maximum(Z, 0.0) @ a / np.sqrt(m) - y
+    middle = np.linalg.pinv(St @ St.T, hermitian=True) @ (rho[:, None] * X)
+    return w - eta * (St.T @ middle) @ np.linalg.inv(X.T @ X)
 
 
 def min_norm_lsq(J, w0, u0, y):

@@ -583,6 +583,10 @@ def test_report_missing_manifest_exits_three(tmp_path, capsys):
         {"runs": [], "artifacts": [1]},
         {"runs": [{"files": [1]}]},
         {"runs": [{"files": {"trace_json": 7}}]},
+        {"runs": [{"eta": "a"}, {"eta": 0.5}]},
+        {"runs": [{"eta": 0.5, "m": "x"}, {"eta": 0.5, "m": 3}]},
+        {"runs": [{"seed": [1]}, {"seed": 2}]},
+        {"runs": [{"name": "b"}, {"name": 1}]},
     ],
     ids=[
         "root_list",
@@ -592,6 +596,10 @@ def test_report_missing_manifest_exits_three(tmp_path, capsys):
         "artifact_number",
         "files_list",
         "file_number",
+        "eta_mixed",
+        "m_mixed",
+        "seed_mixed",
+        "name_mixed",
     ],
 )
 def test_report_malformed_manifest_exits_three(tmp_path, capsys, manifest):

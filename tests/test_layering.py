@@ -3,14 +3,18 @@
 Modules may import only modules earlier in ORDER, which refines
 data -> network -> gram -> {theory, optim, linearized} -> cli.  No module
 reaches into another's private names, PD_FLOOR is defined once, and the
-activation tie rule is written once for network weights.
+activation tie rule is written once for network weights.  Every
+third-party module the tests import is declared in pyproject.toml.
 """
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "natgrad"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "natgrad"
 ORDER = (
     "_version", "errors", "data", "forster", "network", "gram",
     "theory", "optim", "linearized", "cli", "__main__", "__init__",
@@ -114,3 +118,26 @@ def test_tie_rule_written_once():
         if is_rule(node)
     ]
     assert sorted(found) == ["gram.mc_limiting_gram", "network.activation_pattern"]
+
+
+def test_third_party_test_imports_are_declared():
+    """Each top-level module imported under tests/ is in the standard
+    library, natgrad, tests/ itself, or pyproject.toml's dependencies and
+    test extra, so installing ".[test]" is enough to run the suite."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    tests = list((ROOT / "tests").glob("*.py"))
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {p.stem for p in tests} - {"natgrad"}
+    assert third_party, "no third-party import found; the scan is broken"
+    assert third_party <= declared, f"undeclared test imports: {sorted(third_party - declared)}"

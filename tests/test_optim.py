@@ -238,6 +238,62 @@ def test_kfac_rejects_rank_deficient_inputs():
         kfac_step(p, ds, eta=0.1)
 
 
+def linalg_calls(monkeypatch, *names):
+    """Patch np.linalg.<name> for each name to record the shape of its
+    first argument; returns name -> list of shapes."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def record(A, *args, _name=name, _original=original, **kwargs):
+            calls[_name].append(np.shape(A))
+            return _original(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    return calls
+
+
+def test_kfac_solves_a_well_conditioned_unit_factor(monkeypatch):
+    # damping = 0 on a positive definite unit factor: one Cholesky guard,
+    # a direct solve, no pseudoinverse
+    ds = synth_sphere(8, 3, seed=0)
+    p = init_network(64, 3, nu=1.0, seed=1)
+    S = (ds.X @ p.w.T >= 0.0).astype(float)
+    assert np.linalg.eigvalsh(S @ S.T / p.m)[0] > 1e-3
+    calls = linalg_calls(monkeypatch, "pinv", "cholesky")
+    kfac_step(p, ds, eta=0.5, damping=0.0)
+    assert calls == {"pinv": [], "cholesky": [(8, 8)]}
+
+
+def test_kfac_singular_unit_factor_falls_back_to_least_squares(monkeypatch):
+    # m < n makes S S^T / m singular: the guard fails, the step takes the
+    # pseudoinverse without an eigvalsh of the unit factor (the one
+    # eigvalsh is the d x d input factor's rank check) and keeps the
+    # least-squares meaning of the kron oracle
+    ds = synth_sphere(8, 3, seed=1)
+    p = init_network(4, 3, nu=1.0, seed=2)
+    calls = linalg_calls(monkeypatch, "pinv", "cholesky", "eigvalsh")
+    stepped = kfac_step(p, ds, eta=0.4, damping=0.0)
+    assert calls == {"pinv": [(8, 8)], "cholesky": [(8, 8)], "eigvalsh": [(3, 3)]}
+    monkeypatch.undo()
+    expected = oracles.kfac_step_kron(p.w, p.a, ds.X, ds.y, eta=0.4)
+    assert np.linalg.norm(stepped.w - expected) <= 1e-10 * np.linalg.norm(expected - p.w)
+
+
+def test_kfac_train_matches_pinv_reference_at_scale():
+    # (n, d, m) = (256, 16, 4096) on isotropic inputs: three damping-0
+    # steps through the guarded solve land where the pseudoinverse does
+    ds0 = synth_sphere(256, 16, seed=1)
+    ds = ng.Dataset(ng.forster_transform(ds0.X).Z, ds0.y)
+    p = init_network(4096, 16, nu=1.0, seed=2)
+    trace = train(p, ds, OptimizerConfig(method="kfac", eta=0.5, damping=0.0, max_steps=3))
+    w = p.w
+    for _ in range(3):
+        w = oracles.kfac_step_pinv(w, p.a, ds.X, ds.y, eta=0.5)
+    rel = np.linalg.norm(trace.final_params.w - w) / np.linalg.norm(w - p.w)
+    assert rel <= 1e-10
+
+
 def test_exact_interpolation_without_pattern_flips():
     # inside a fixed activation pattern the model is linear, so one exact
     # natural-gradient step at eta = 1 lands on the targets
