@@ -4,19 +4,18 @@ For a fixed Jacobian both gradient flow and natural gradient flow admit
 closed forms.  They trace different weight paths but share the same
 destination: the minimum-norm interpolant.  The discrete natural
 gradient recursion contracts residuals by exactly (1 - eta) per step and
-interpolates in a single step at eta = 1.
+interpolates in a single step at eta = 1.  The model is a small network
+linearized at its initialization, held as its factored Jacobian.
 """
 import numpy as np
 
 import natgrad as ng
 
-rng = np.random.default_rng(4)
-n, p = 5, 12
-J = rng.standard_normal((n, p))
-y = rng.standard_normal(n)
-w0 = rng.standard_normal(p)
+ds = ng.synth_sphere(n=5, d=3, seed=4)
+params = ng.init_network(m=8, d=3, nu=1.0, seed=4)
+y = ds.y
 
-lin = ng.LinearizedModel(J, w0, J @ w0, y)
+lin = ng.LinearizedModel(ng.jacobian(params, ds.X), params.w, ng.forward(params, ds.X), y)
 print(f"lambda_min(J J^T) = {lin.eig[0][0]:.4f}")
 
 print("\nresiduals along the two flows:")

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .forster import ForsterResult, forster_transform, inverse_sqrt_psd, normalize_rows
 from .gram import (
-    GramMatrix,
     finite_gram,
     hadamard_bounds,
     limiting_gram,
@@ -93,7 +92,6 @@ __all__ = [
     "ForsterResult",
     "FormatError",
     "GenBoundReport",
-    "GramMatrix",
     "JacobianView",
     "LinearizedModel",
     "LossSpec",

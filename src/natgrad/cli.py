@@ -550,14 +550,15 @@ def cmd_gram(args) -> int:
     G = gram_mod.limiting_gram(ds)
     lam_min = gram_mod.min_eig(G)
     lam_max = gram_mod.max_eig(G)
-    if args.export:
-        _atomic_via(G.to_csv, Path(args.export))
+    if args.export:  # one row per line, ended "\r\n" as RFC 4180 CSV
+        text = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in G)
+        _atomic_write_text(Path(args.export), text)
     print(
         _dump_json(
             {
                 "n": ds.n,
                 "d": ds.d,
-                "kind": G.kind,
+                "kind": "limiting",
                 "lambda_min": lam_min,
                 "lambda_max": lam_max,
                 "condition_number": lam_max / lam_min if lam_min > 0 else math.inf,
@@ -718,9 +719,8 @@ def cmd_linearized(args) -> int:
         raise ConfigError("config.output.dir: required (or pass --out)")
     ds, _ = build_dataset(cfg)
     params = _init_params(cfg.model, ds)
-    jv = network.jacobian(params, ds.X)
     lm = lin_mod.LinearizedModel(
-        jv.dense(), params.w.ravel(), network.forward(params, ds.X), ds.y
+        network.jacobian(params, ds.X), params.w, network.forward(params, ds.X), ds.y
     )
     t_star = lin_mod.t_infinity(lm)
     ts = np.concatenate([[0.0], np.geomspace(1e-2, t_star, args.points - 1)])

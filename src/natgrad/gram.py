@@ -6,16 +6,15 @@ The limiting Gram has the closed form
 
 the expectation over Gaussian weights of x_i.x_j 1{w.x_i >= 0, w.x_j >= 0}.
 At finite width the Gram of the Jacobian is the entrywise (Hadamard)
-product of X X^T and S S^T / m, which is how it is computed here.
-Spectral helpers include the Hadamard-product eigenvalue bounds relating
-the factors' spectra to the product's.
+product of X X^T and S S^T / m, which is how it is computed here, from
+the factored Jacobian: finite_gram is the one J J^T in the package.
+Every builder returns the n x n array itself.  Spectral helpers include
+the Hadamard-product eigenvalue bounds relating the factors' spectra to
+the product's.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,21 +26,7 @@ PD_FLOOR = 1e-12  # lambda_min (+ damping) a matrix needs to count as positive d
 FLOAT32_EXACT_LIMIT = 2**24  # float32 represents every integer of smaller magnitude
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric PSD matrix M with a tag saying how it was built."""
-
-    M: np.ndarray
-    kind: str  # limiting | finite | pre_activation
-
-    def to_csv(self, path) -> None:
-        with open(Path(path), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.M:
-                writer.writerow([repr(float(v)) for v in row])
-
-
-def limiting_gram(ds: Dataset) -> GramMatrix:
+def limiting_gram(ds: Dataset) -> np.ndarray:
     """Closed-form infinite-width Gram of a validated dataset.
 
     Inner products are clamped to [-1, 1] before arccos (roundoff near
@@ -51,8 +36,7 @@ def limiting_gram(ds: Dataset) -> GramMatrix:
     inner = ds.X @ ds.X.T
     np.fill_diagonal(inner, 1.0)  # rows are unit norm by contract
     inner = np.clip(inner, -1.0, 1.0)
-    M = inner * (np.pi - np.arccos(inner)) / (2.0 * np.pi)
-    return GramMatrix(M=M, kind="limiting")
+    return inner * (np.pi - np.arccos(inner)) / (2.0 * np.pi)
 
 
 def coactivation(S: np.ndarray) -> np.ndarray:
@@ -72,14 +56,14 @@ def pattern_gram(XXt: np.ndarray, S: np.ndarray) -> np.ndarray:
     return XXt * (coactivation(S) / S.shape[1])
 
 
-def finite_gram(jv: JacobianView) -> GramMatrix:
+def finite_gram(jv: JacobianView) -> np.ndarray:
     """J J^T via the factored formula: entrywise product of X X^T with
     S S^T / m.
 
     The signs a_r square away, so only the 0/1 pattern enters: the
     co-activation counts are exact, and no dense Jacobian is needed.
     """
-    return GramMatrix(M=pattern_gram(jv.X @ jv.X.T, jv.S), kind="finite")
+    return pattern_gram(jv.X @ jv.X.T, jv.S)
 
 
 def jacobian_drift(XXt: np.ndarray, S: np.ndarray, S0: np.ndarray) -> float:
@@ -102,7 +86,7 @@ def mc_limiting_gram(
     samples: int,
     seed: int,
     chunk: int = 20000,
-) -> tuple[GramMatrix, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimate of the limiting Gram, with standard errors.
 
     Draws w ~ N(0, nu^2 I) and averages x_i.x_j 1{w.x_i >= 0, w.x_j >= 0}.
@@ -125,28 +109,28 @@ def mc_limiting_gram(
         done += take
     freq = counts / samples
     inner = ds.X @ ds.X.T
-    M = inner * freq
     stderr = np.abs(inner) * np.sqrt(freq * (1.0 - freq) / samples)
-    return GramMatrix(M=M, kind="limiting"), stderr
+    return inner * freq, stderr
 
 
-def pre_activation_gram(S: np.ndarray) -> GramMatrix:
+def pre_activation_gram(S: np.ndarray) -> np.ndarray:
     """(1/m) S S^T from the 0/1 pattern S; diagonal at most 1.
 
     Scaled so that the finite Gram is exactly the entrywise product of
     X X^T with this matrix.
     """
-    return GramMatrix(M=coactivation(S) / S.shape[1], kind="pre_activation")
+    return coactivation(S) / S.shape[1]
 
 
-def min_eig(g: GramMatrix | np.ndarray) -> float:
-    """Smallest eigenvalue by a symmetric solver; raw, not clipped."""
-    return float(_eigvalsh(g)[0])
+def min_eig(M: np.ndarray) -> float:
+    """Smallest eigenvalue of a square symmetric matrix by a symmetric
+    solver; raw, not clipped."""
+    return float(_eigvalsh(M)[0])
 
 
-def max_eig(g: GramMatrix | np.ndarray) -> float:
-    """Largest eigenvalue by a symmetric solver."""
-    return float(_eigvalsh(g)[-1])
+def max_eig(M: np.ndarray) -> float:
+    """Largest eigenvalue of a square symmetric matrix by a symmetric solver."""
+    return float(_eigvalsh(M)[-1])
 
 
 def hadamard_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
@@ -171,8 +155,8 @@ def hadamard_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     return float(diag.min() * lam_B[0]), float(diag.max() * lam_B[-1])
 
 
-def _eigvalsh(g) -> np.ndarray:
-    M = np.asarray(g.M if isinstance(g, GramMatrix) else g, dtype=float)
+def _eigvalsh(M) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
     _check_symmetric(M, "matrix")
     return np.linalg.eigvalsh(M)
 

@@ -11,6 +11,10 @@ with G = J J^T.  The two flows traverse different paths but share the
 limit w0 + J^T G^{-1} (y - u0), the least-norm weight displacement fitting
 the targets.  The discrete natural-gradient recursion contracts the
 residual by exactly (1 - eta) per step, reaching y in one step at eta = 1.
+
+J is the network's factored Jacobian (a network.JacobianView), never the
+dense n x (m*d) matrix: weights are m x d arrays, J v is apply_weights,
+J^T v is grad_matrix and G is gram.finite_gram.
 """
 from __future__ import annotations
 
@@ -20,7 +24,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import SingularMatrixError
-from .gram import PD_FLOOR
+from .gram import PD_FLOOR, finite_gram
+from .network import JacobianView
 
 if TYPE_CHECKING:
     from .optim import LossSpec
@@ -30,48 +35,40 @@ DECAY_TARGET = 1e12  # "t = infinity" drives every mode below 1/DECAY_TARGET
 
 @dataclass(frozen=True)
 class LinearizedModel:
-    """Frozen Jacobian J (n x p), initial weights w0, outputs u0, targets y.
+    """Frozen Jacobian jv (factored, n x m*d), initial weights w0 (m x d),
+    outputs u0, targets y.
 
     Construction fails unless G = J J^T is positive definite; the
     eigendecomposition of G is cached for the trajectory formulas.
     """
 
-    J: np.ndarray
+    jv: JacobianView
     w0: np.ndarray
     u0: np.ndarray
     y: np.ndarray
     eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        J = np.asarray(self.J, dtype=float)
-        w0 = np.asarray(self.w0, dtype=float).ravel()
+        jv = self.jv
+        w0 = np.asarray(self.w0, dtype=float)
         u0 = np.asarray(self.u0, dtype=float).ravel()
         y = np.asarray(self.y, dtype=float).ravel()
-        n, p = J.shape
-        if w0.shape != (p,):
-            raise ValueError(f"w0 has length {w0.size}, expected {p}")
-        if u0.shape != (n,) or y.shape != (n,):
-            raise ValueError(f"u0 and y must have length {n}")
-        lam, V = np.linalg.eigh(J @ J.T)
+        if w0.shape != (jv.m, jv.d):
+            raise ValueError(f"w0 has shape {w0.shape}, expected {(jv.m, jv.d)}")
+        if u0.shape != (jv.n,) or y.shape != (jv.n,):
+            raise ValueError(f"u0 and y must have length {jv.n}")
+        lam, V = np.linalg.eigh(finite_gram(jv))
         if lam[0] <= PD_FLOOR:
             raise SingularMatrixError(
                 f"J J^T must be positive definite; lambda_min = {lam[0]:.3e}"
             )
-        for name, value in (("J", J), ("w0", w0), ("u0", u0), ("y", y), ("eig", (lam, V))):
+        for name, value in (("w0", w0), ("u0", u0), ("y", y), ("eig", (lam, V))):
             object.__setattr__(self, name, value)
-
-    @property
-    def n(self) -> int:
-        return self.J.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.J.shape[1]
 
 
 def outputs_at(lm: LinearizedModel, w: np.ndarray) -> np.ndarray:
-    """u(w) = u0 + J (w - w0)."""
-    return lm.u0 + lm.J @ (np.asarray(w, dtype=float) - lm.w0)
+    """u(w) = u0 + J (w - w0) for m x d weights w."""
+    return lm.u0 + lm.jv.apply_weights(np.asarray(w, dtype=float) - lm.w0)
 
 
 def gd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
@@ -81,7 +78,7 @@ def gd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
     lam, V = lm.eig
     rho0 = lm.y - lm.u0
     coeff = (1.0 - np.exp(-lam * t)) / lam
-    return lm.J.T @ (V @ (coeff * (V.T @ rho0))) + lm.w0
+    return lm.jv.grad_matrix(V @ (coeff * (V.T @ rho0))) + lm.w0
 
 
 def ngd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
@@ -90,7 +87,7 @@ def ngd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
         raise ValueError(f"time must be nonnegative, got {t}")
     lam, V = lm.eig
     rho0 = lm.y - lm.u0
-    return (1.0 - np.exp(-t)) * (lm.J.T @ (V @ ((V.T @ rho0) / lam))) + lm.w0
+    return (1.0 - np.exp(-t)) * lm.jv.grad_matrix(V @ ((V.T @ rho0) / lam)) + lm.w0
 
 
 def ngd_discrete(
@@ -119,7 +116,7 @@ def ngd_discrete(
     u = lm.u0.copy()
     for _ in range(k):
         z = V @ ((V.T @ grad(u)) / lam)
-        w = w - eta * (lm.J.T @ z)
+        w = w - eta * lm.jv.grad_matrix(z)
         u = outputs_at(lm, w)
     return w, u
 
@@ -129,7 +126,7 @@ def limit_weights(lm: LinearizedModel) -> np.ndarray:
     the least-norm solution of J (w - w0) = y - u0."""
     lam, V = lm.eig
     rho0 = lm.y - lm.u0
-    return lm.J.T @ (V @ ((V.T @ rho0) / lam)) + lm.w0
+    return lm.jv.grad_matrix(V @ ((V.T @ rho0) / lam)) + lm.w0
 
 
 def t_infinity(lm: LinearizedModel) -> float:

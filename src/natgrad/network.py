@@ -6,9 +6,9 @@ Only w is ever updated; the output signs a and the initialization snapshot
 w0 are frozen at construction.  The Jacobian of the output vector with
 respect to the flattened weights factors as a row-wise Khatri-Rao product
 of the activation pattern S (n x m, 0/1, from activation_pattern) and the
-input matrix, with unit r scaled by a_r / sqrt(m).  Consumers work with
-the factors (X, S, a) instead of the dense n x (m*d) matrix whenever they
-can.
+input matrix, with unit r scaled by a_r / sqrt(m).  Every consumer works
+with the factors (X, S, a); the dense n x (m*d) matrix is formed only by
+the test oracles.
 """
 from __future__ import annotations
 
@@ -70,9 +70,9 @@ class JacobianView:
 
     Block layout is unit-major: row i is m consecutive blocks of length d,
     block r being scale[r] S[i, r] x_i.  Products apply scale = a / sqrt(m)
-    on their m-sized side, so no signed n x m pattern is formed.  All
-    consumers need only n x n or m x d shaped products, so the dense
-    matrix is materialized only by oracles and tests.
+    on their m-sized side, so no signed n x m pattern is formed.  The
+    products J vec(V) (apply_weights), J^T rho (grad_matrix) and
+    J J^T (gram.finite_gram) are all that consumers need.
     """
 
     X: np.ndarray
@@ -96,13 +96,10 @@ class JacobianView:
         """a / sqrt(m), the per-unit factor of the blocks."""
         return self.a / np.sqrt(self.m)
 
-    def dense(self) -> np.ndarray:
-        """Materialize the n x (m*d) matrix."""
-        return np.einsum("ir,r,ic->irc", self.S, self.scale, self.X).reshape(self.n, -1)
-
     def apply_weights(self, V: np.ndarray) -> np.ndarray:
-        """J @ vec(V) for an m x d weight perturbation V, as a length-n vector."""
-        return np.einsum("ir,rc,ic->i", self.S, V * self.scale[:, None], self.X)
+        """J @ vec(V) for an m x d weight perturbation V, as a length-n vector:
+        row i of S (V scaled by unit) dotted with x_i, the n x d product in BLAS."""
+        return np.einsum("ic,ic->i", self.X, self.S @ (V * self.scale[:, None]))
 
     def grad_matrix(self, rho: np.ndarray) -> np.ndarray:
         """J.T @ rho reshaped to m x d: S^T diag(rho) X, rows times scale."""

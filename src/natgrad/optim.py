@@ -196,9 +196,10 @@ def cg_solve(
     """Conjugate gradients for A x = b, A symmetric positive definite.
 
     Starts from x = 0 and stops when ||r|| <= tol ||b||.  Returns
-    (x, iterations, converged); a breakdown (nonpositive curvature from
-    roundoff on a near-singular system) returns the current iterate with
-    converged = False.
+    (x, iterations, converged); a breakdown returns the current iterate
+    with converged = False.  Breakdown is a curvature p^T A p of at most
+    PD_FLOOR p^T p: on a singular system roundoff leaves a tiny positive
+    curvature along its null space, and a step by it would overflow.
     """
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
@@ -211,7 +212,7 @@ def cg_solve(
     for it in range(1, max_iters + 1):
         Ap = A @ p
         curv = float(p @ Ap)
-        if curv <= 0.0:
+        if curv <= PD_FLOOR * float(p @ p):
             return x, it - 1, False
         alpha = rs / curv
         x = x + alpha * p
@@ -256,7 +257,7 @@ def _ngd_step(
     if u is None:
         u = network.forward(p, ds.X)
     jv = network.jacobian(p, ds.X)
-    z, converged = solve(gram.finite_gram(jv).M, loss.grad(u, ds.y))
+    z, converged = solve(gram.finite_gram(jv), loss.grad(u, ds.y))
     return p.with_weights(p.w - eta * jv.grad_matrix(z)), converged
 
 

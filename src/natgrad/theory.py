@@ -125,7 +125,6 @@ def rate_predictor(
     *,
     mu: float | None = None,
     L: float | None = None,
-    lambda_max_xtx: float | None = None,
 ) -> float:
     """Per-step factor for the predicted squared-residual bound, in [0, 1].
 
@@ -133,8 +132,9 @@ def rate_predictor(
     general:  1 - 2 eta mu L / (mu + L)    (admissible eta <= 2 / (mu + L))
     kfac:     1 - eta / lambda_max(X^T X)  (admissible eta <= lambda_min(X^T X))
 
-    Out-of-range step sizes get a warning, and the factor is clipped to
-    [0, 1]; there is no geometric prediction for plain gradient descent.
+    The kfac factor reads X^T X from ds, which it requires.  Out-of-range
+    step sizes get a warning, and the factor is clipped to [0, 1]; there
+    is no geometric prediction for plain gradient descent.
     """
     if not (np.isfinite(eta) and eta >= 0):
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
@@ -153,15 +153,10 @@ def rate_predictor(
             )
         factor = 1.0 - 2.0 * eta * mu * L / (mu + L)
     elif method == "kfac":
-        if ds is not None:
-            eigs = np.linalg.eigvalsh(ds.X.T @ ds.X)
-            lam_max = float(eigs[-1])
-            lam_min = float(eigs[0])
-        elif lambda_max_xtx is not None:
-            lam_max = float(lambda_max_xtx)
-            lam_min = lam_max  # best available proxy for the warning check
-        else:
-            raise ValueError("kfac rate needs ds or lambda_max_xtx")
+        if ds is None:
+            raise ValueError("kfac rate needs ds")
+        eigs = np.linalg.eigvalsh(ds.X.T @ ds.X)
+        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
         if lam_max <= 0:
             raise ValueError(f"lambda_max(X^T X) must be positive, got {lam_max}")
         if eta > lam_min:
@@ -227,7 +222,7 @@ def generalization_bound(
     Ginf = gram.limiting_gram(ds)
     if gram.min_eig(Ginf) <= PD_FLOOR:
         raise SingularMatrixError("limiting Gram is numerically singular")
-    quad = math.sqrt(2.0 * float(ds.y @ np.linalg.solve(Ginf.M, ds.y)) / ds.n)
+    quad = math.sqrt(2.0 * float(ds.y @ np.linalg.solve(Ginf, ds.y)) / ds.n)
     conf = 3.0 * math.sqrt(math.log(6.0 / delta) / (2.0 * ds.n))
     return GenBoundReport(
         quad_term=quad,

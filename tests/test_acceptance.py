@@ -44,7 +44,7 @@ def test_criterion_02_one_step_convergence():
     p = ng.init_network(2**14, 8, 1.0, seed=0)
     jv = ng.jacobian(p, ds.X)
     u0 = ng.forward(p, ds.X)
-    lm = ng.LinearizedModel(jv.dense(), p.w.ravel(), u0, ds.y)
+    lm = ng.LinearizedModel(jv, p.w, u0, ds.y)
     r0 = float(np.linalg.norm(ds.y - u0))
     _, u1 = ng.ngd_discrete(lm, eta=1.0, k=1)
     linear_ok = float(np.linalg.norm(ds.y - u1)) <= 1e-10 * r0
@@ -134,10 +134,16 @@ def test_criterion_07_jacobian_finite_differences():
         p = ng.init_network(m, max(d, 2), 1.0, seed=seed + 500)
         if np.abs(ds.X @ p.w.T).min() <= 1e-3:
             continue  # too close to a kink for differencing
-        J = ng.jacobian(p, ds.X).dense()
+        J = oracles.dense_jacobian_loops(p.w, p.a, ds.X)
         J_fd = oracles.fd_jacobian(lambda w: ng.forward(p.with_weights(w), ds.X), p.w)
         rel = float(np.linalg.norm(J - J_fd) / np.linalg.norm(J))
         worst = max(worst, rel)
+        # the library's factored Jacobian through its two products
+        jv = ng.jacobian(p, ds.X)
+        V, rho = rng.standard_normal(p.w.shape), rng.standard_normal(ds.n)
+        pairs = ((jv.apply_weights(V), J @ V.ravel()), (jv.grad_matrix(rho).ravel(), J.T @ rho))
+        for lib, ref in pairs:
+            worst = max(worst, float(np.linalg.norm(lib - ref) / np.linalg.norm(ref)))
         checked += 1
     assert record_criterion(7, name, worst <= 1e-6), f"worst relative error {worst:.3e}"
 
@@ -147,15 +153,14 @@ def test_criterion_08_gram_correctness():
     ds = ng.synth_sphere(16, 8, seed=0)
     exact = ng.limiting_gram(ds)
     est, se = ng.mc_limiting_gram(ds, nu=1.0, samples=10**5, seed=0)
-    mc_ok = bool(np.all(np.abs(est.M - exact.M) <= 4.0 * se))
+    mc_ok = bool(np.all(np.abs(est - exact) <= 4.0 * se))
 
     p = ng.init_network(256, 8, 1.0, seed=1)
-    jv = ng.jacobian(p, ds.X)
-    G = ng.finite_gram(jv).M
-    J = jv.dense()
+    G = ng.finite_gram(ng.jacobian(p, ds.X))
+    J = oracles.dense_jacobian_loops(p.w, p.a, ds.X)
     factored_ok = float(np.abs(G - J @ J.T).max()) <= 1e-12
 
-    diag_ok = bool(np.all(np.diag(exact.M) == 0.5))
+    diag_ok = bool(np.all(np.diag(exact) == 0.5))
     assert record_criterion(8, name, mc_ok and factored_ok and diag_ok)
 
 
@@ -212,7 +217,7 @@ def test_criterion_12_general_loss_rate():
     ds = ng.synth_sphere(8, 4, seed=3)
     p = ng.init_network(64, 4, 1.0, seed=3)
     jv = ng.jacobian(p, ds.X)
-    lm = ng.LinearizedModel(jv.dense(), p.w.ravel(), ng.forward(p, ds.X), ds.y)
+    lm = ng.LinearizedModel(jv, p.w, ng.forward(p, ds.X), ds.y)
     loss = ng.logcosh_loss()  # mu = 0.5, L = 1.5
     eta = 2.0 / (loss.mu + loss.L)
     limit = 1.0 - 2.0 * eta * loss.mu * loss.L / (loss.mu + loss.L) + 0.05
@@ -249,17 +254,22 @@ def test_criterion_14_limit_point_equality():
     ok = True
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 8))
-        pdim = n + int(rng.integers(2, 10))
-        J = rng.standard_normal((n, pdim))
+        n, d = int(rng.integers(3, 8)), int(rng.integers(3, 6))
+        m = n + int(rng.integers(2, 10))  # m * d > n parameters
+        ds = ng.synth_sphere(n, d, seed=seed)
+        p = ng.init_network(m, d, 1.0, seed=seed)
         lm = ng.LinearizedModel(
-            J, rng.standard_normal(pdim), rng.standard_normal(n), rng.standard_normal(n)
+            ng.jacobian(p, ds.X),
+            rng.standard_normal((m, d)),
+            rng.standard_normal(n),
+            rng.standard_normal(n),
         )
         horizon = ng.t_infinity(lm)
-        w_gd = ng.gd_trajectory(lm, horizon)
-        w_ngd = ng.ngd_trajectory(lm, horizon)
-        w_star = oracles.min_norm_lsq(lm.J, lm.w0, lm.u0, lm.y)
-        scale = max(float(np.linalg.norm(w_star - lm.w0)), 1e-12)
+        w_gd = ng.gd_trajectory(lm, horizon).ravel()
+        w_ngd = ng.ngd_trajectory(lm, horizon).ravel()
+        J = oracles.dense_jacobian_loops(p.w, p.a, ds.X)
+        w_star = oracles.min_norm_lsq(J, lm.w0.ravel(), lm.u0, lm.y)
+        scale = max(float(np.linalg.norm(w_star - lm.w0.ravel())), 1e-12)
         if (
             np.linalg.norm(w_gd - w_ngd) > 1e-9 * scale
             or np.linalg.norm(w_gd - w_star) > 1e-9 * scale

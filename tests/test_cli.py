@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,9 @@ def test_gram_reports_spectrum(tmp_path, capsys):
     M = np.loadtxt(export, delimiter=",")
     assert M.shape == (12, 12)
     assert np.allclose(np.diag(M), 0.5)
+    # every entry round-trips exactly (repr), one "\r\n"-ended line per row
+    assert np.array_equal(M, ng.limiting_gram(ng.load_csv(src, label_column="y")))
+    assert export.read_bytes().count(b"\r\n") == 12
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +538,23 @@ def test_linearized_trajectory_csv(tmp_path, capsys):
     # gd decays monotonically, ngd too
     res_gd = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(res_gd, res_gd[1:]))
+
+
+def test_linearized_peak_memory_below_dense_jacobian(tmp_path):
+    n, d, m = 64, 16, 4096
+    cfg = {
+        "data": {"synth": {"n": n, "d": d, "seed": 0}},
+        "model": {"m": m, "nu": 1.0, "seed": 1},
+        "output": {"dir": str(tmp_path / "lin")},
+    }
+    cfgp = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert main(["linearized", "--config", cfgp, "--quiet"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * d * 8, f"peak {peak / 2**20:.1f} MiB"  # the dense J alone: 33.5 MB
 
 
 def test_linearized_needs_two_points(tmp_path, capsys):

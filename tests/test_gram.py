@@ -27,7 +27,7 @@ def ds():
 
 def test_finite_gram_equals_dense_product(ds):
     p = init_network(20, 4, nu=1.0, seed=1)
-    G = finite_gram(jacobian(p, ds.X)).M
+    G = finite_gram(jacobian(p, ds.X))
     J = oracles.dense_jacobian_loops(p.w, p.a, ds.X)
     assert np.max(np.abs(G - J @ J.T)) < 1e-13
     assert np.allclose(G, G.T)
@@ -36,8 +36,8 @@ def test_finite_gram_equals_dense_product(ds):
 def test_finite_gram_factors_through_pattern(ds):
     p = init_network(20, 4, nu=1.0, seed=1)
     S = activation_pattern(p, ds.X)
-    G = finite_gram(jacobian(p, ds.X)).M
-    P = pre_activation_gram(S).M
+    G = finite_gram(jacobian(p, ds.X))
+    P = pre_activation_gram(S)
     assert np.max(np.abs(G - (ds.X @ ds.X.T) * P)) < 1e-14
     assert P.max() <= 1.0
 
@@ -54,7 +54,7 @@ def test_coactivation_counts_are_exact():
 
 def test_pre_activation_gram_is_float64_count_product(ds):
     S = activation_pattern(init_network(1000, 4, nu=1.0, seed=1), ds.X)
-    assert np.array_equal(pre_activation_gram(S).M, (S @ S.T) / 1000)
+    assert np.array_equal(pre_activation_gram(S), (S @ S.T) / 1000)
 
 
 @pytest.mark.parametrize("m", [8, 1000, 32768])
@@ -82,12 +82,12 @@ def test_jacobian_drift_matches_dense_norm_under_many_flips(ds):
 
 
 def test_limiting_gram_diagonal_is_exactly_half(ds):
-    M = limiting_gram(ds).M
+    M = limiting_gram(ds)
     assert np.array_equal(np.diag(M), np.full(ds.n, 0.5))
 
 
 def test_limiting_gram_matches_entry_formula(ds):
-    M = limiting_gram(ds).M
+    M = limiting_gram(ds)
     for i in range(ds.n):
         for j in range(ds.n):
             if i == j:
@@ -102,10 +102,10 @@ def test_limiting_gram_positive_definite_for_generic_data(ds):
 
 
 def test_mc_estimate_brackets_closed_form(ds):
-    exact = limiting_gram(ds).M
+    exact = limiting_gram(ds)
     est, se = mc_limiting_gram(ds, nu=1.0, samples=40000, seed=0)
     # off-diagonal SEs are estimates themselves; allow 5 of them plus slack
-    gap = np.abs(est.M - exact)
+    gap = np.abs(est - exact)
     assert np.all(gap <= 5.0 * se + 1e-4)
     assert np.all(np.diag(se) >= 0)
 
@@ -113,13 +113,13 @@ def test_mc_estimate_brackets_closed_form(ds):
 def test_mc_estimate_scale_invariant(ds):
     a, _ = mc_limiting_gram(ds, nu=0.3, samples=2000, seed=7)
     b, _ = mc_limiting_gram(ds, nu=3.0, samples=2000, seed=7)
-    assert np.array_equal(a.M, b.M)
+    assert np.array_equal(a, b)
 
 
 def test_mc_estimate_chunk_invariant(ds):
     a, sa = mc_limiting_gram(ds, nu=1.0, samples=3000, seed=2, chunk=3000)
     b, sb = mc_limiting_gram(ds, nu=1.0, samples=3000, seed=2, chunk=257)
-    assert np.allclose(a.M, b.M, atol=1e-12)
+    assert np.allclose(a, b, atol=1e-12)
     assert np.allclose(sa, sb, atol=1e-12)
 
 
@@ -158,11 +158,3 @@ def test_hadamard_bounds_rejects_bad_inputs():
         hadamard_bounds(np.triu(np.ones((3, 3))), good)
     with pytest.raises(ValueError, match="positive definite"):
         hadamard_bounds(np.diag([1.0, -1.0, 1.0]), good)
-
-
-def test_gram_csv_export(tmp_path, ds):
-    g = limiting_gram(ds)
-    path = tmp_path / "gram.csv"
-    g.to_csv(path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, g.M)

@@ -2,8 +2,9 @@
 
 Modules may import only modules earlier in ORDER, which refines
 data -> network -> gram -> {theory, optim, linearized} -> cli.  No module
-reaches into another's private names, PD_FLOOR is defined once, and the
-activation tie rule is written once for network weights.  Every
+reaches into another's private names, PD_FLOOR is defined once, the
+activation tie rule is written once for network weights, and the Jacobian
+is never made dense nor the Gram wrapped in a class.  Every
 third-party module the tests import is declared in pyproject.toml.
 """
 import ast
@@ -118,6 +119,28 @@ def test_tie_rule_written_once():
         if is_rule(node)
     ]
     assert sorted(found) == ["gram.mc_limiting_gram", "network.activation_pattern"]
+
+
+def test_no_dense_jacobian_or_gram_wrapper():
+    """No module defines or calls anything named dense (the n x m*d
+    Jacobian lives in tests/oracles.py only) or defines GramMatrix (the
+    Gram builders return the n x n array)."""
+    found = []
+    for name in ORDER:
+        for node in ast.walk(parse(name)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined = node.id
+            else:
+                defined = None
+            if defined in ("dense", "GramMatrix"):
+                found.append(f"{name} defines {defined}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "dense":
+                    found.append(f"{name} calls dense")
+    assert found == []
 
 
 def test_third_party_test_imports_are_declared():

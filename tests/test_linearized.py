@@ -1,4 +1,11 @@
-"""Closed-form flows of the frozen-Jacobian model against brute force."""
+"""Closed-form flows of the frozen-Jacobian model against brute force.
+
+The model runs on a small network's factored Jacobian; the loop oracle's
+dense J (n x m*d, unit-major like vec of the m x d weights) is the
+reference.
+"""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,44 +14,60 @@ from natgrad import (
     LinearizedModel,
     SingularMatrixError,
     gd_trajectory,
+    init_network,
+    jacobian,
     limit_weights,
     logcosh_loss,
     ngd_discrete,
     ngd_trajectory,
     outputs_at,
+    synth_sphere,
     t_infinity,
 )
 
 
 @pytest.fixture
-def lm():
+def net():
+    return init_network(4, 3, nu=1.0, seed=0), synth_sphere(5, 3, seed=0).X
+
+
+@pytest.fixture
+def J(net):
+    p, X = net
+    return oracles.dense_jacobian_loops(p.w, p.a, X)
+
+
+@pytest.fixture
+def lm(net):
+    p, X = net
     rng = np.random.default_rng(0)
-    J = rng.standard_normal((5, 12))
-    w0 = rng.standard_normal(12)
-    u0 = rng.standard_normal(5)
-    y = rng.standard_normal(5)
-    return LinearizedModel(J=J, w0=w0, u0=u0, y=y)
+    w0 = rng.standard_normal((p.m, p.d))
+    u0 = rng.standard_normal(len(X))
+    y = rng.standard_normal(len(X))
+    return LinearizedModel(jv=jacobian(p, X), w0=w0, u0=u0, y=y)
 
 
-def test_construction_validates_shapes():
-    J = np.eye(3)
+def test_construction_validates_shapes(net):
+    p, X = net
+    jv = jacobian(p, X[:3])
     with pytest.raises(ValueError, match="w0"):
-        LinearizedModel(J=J, w0=np.ones(2), u0=np.ones(3), y=np.ones(3))
+        LinearizedModel(jv=jv, w0=np.ones(p.m * p.d), u0=np.ones(3), y=np.ones(3))
     with pytest.raises(ValueError, match="length 3"):
-        LinearizedModel(J=J, w0=np.ones(3), u0=np.ones(4), y=np.ones(3))
+        LinearizedModel(jv=jv, w0=p.w, u0=np.ones(4), y=np.ones(3))
 
 
-def test_construction_rejects_singular_gram():
-    J = np.ones((3, 4))  # identical rows
+def test_construction_rejects_singular_gram(net):
+    p, X = net
+    jv = jacobian(p, np.tile(X[0], (3, 1)))  # identical rows
     with pytest.raises(SingularMatrixError, match="lambda_min"):
-        LinearizedModel(J=J, w0=np.zeros(4), u0=np.zeros(3), y=np.ones(3))
+        LinearizedModel(jv=jv, w0=p.w, u0=np.zeros(3), y=np.ones(3))
 
 
-def test_outputs_affine(lm):
+def test_outputs_affine(lm, J):
     assert np.allclose(outputs_at(lm, lm.w0), lm.u0)
     rng = np.random.default_rng(1)
-    v = rng.standard_normal(lm.p)
-    assert np.allclose(outputs_at(lm, lm.w0 + v), lm.u0 + lm.J @ v)
+    v = rng.standard_normal(lm.w0.shape)
+    assert np.allclose(outputs_at(lm, lm.w0 + v), lm.u0 + J @ v.ravel())
 
 
 def test_trajectories_start_at_w0(lm):
@@ -56,15 +79,15 @@ def test_trajectories_start_at_w0(lm):
         ngd_trajectory(lm, -1.0)
 
 
-def test_gd_flow_matches_euler_integration(lm):
+def test_gd_flow_matches_euler_integration(lm, J):
     # independent check: integrate w' = J^T (y - u(w)) directly
     t_end = 0.5
     steps = 20000
     dt = t_end / steps
-    w = lm.w0.copy()
+    w = lm.w0.ravel()
     for _ in range(steps):
-        w = w + dt * (lm.J.T @ (lm.y - outputs_at(lm, w)))
-    assert np.allclose(gd_trajectory(lm, t_end), w, atol=1e-4)
+        w = w + dt * (J.T @ (lm.y - lm.u0 - J @ (w - lm.w0.ravel())))
+    assert np.allclose(gd_trajectory(lm, t_end).ravel(), w, atol=1e-4)
 
 
 def test_ngd_flow_residual_decays_exponentially(lm):
@@ -83,10 +106,10 @@ def test_flows_take_different_paths_to_the_same_limit(lm):
     assert np.allclose(ngd_trajectory(lm, horizon), wstar, atol=1e-9)
 
 
-def test_limit_is_min_norm_solution(lm):
+def test_limit_is_min_norm_solution(lm, J):
     wstar = limit_weights(lm)
-    expected = oracles.min_norm_lsq(lm.J, lm.w0, lm.u0, lm.y)
-    assert np.allclose(wstar, expected, atol=1e-10)
+    expected = oracles.min_norm_lsq(J, lm.w0.ravel(), lm.u0, lm.y)
+    assert np.allclose(wstar.ravel(), expected, atol=1e-10)
     assert np.allclose(outputs_at(lm, wstar), lm.y, atol=1e-10)
 
 
@@ -112,36 +135,36 @@ def test_discrete_zero_steps(lm):
         ngd_discrete(lm, eta=0.5, k=-1)
 
 
-def test_discrete_general_loss_matches_manual_recursion(lm):
+def test_discrete_general_loss_matches_manual_recursion(lm, J):
     loss = logcosh_loss()
     k = 4
     eta = 0.6
-    G = lm.J @ lm.J.T
-    w = lm.w0.copy()
+    G = J @ J.T
+    w = lm.w0.ravel()
     u = lm.u0.copy()
     for _ in range(k):
         z = np.linalg.solve(G, loss.grad(u, lm.y))
-        w = w - eta * (lm.J.T @ z)
-        u = lm.u0 + lm.J @ (w - lm.w0)
+        w = w - eta * (J.T @ z)
+        u = lm.u0 + J @ (w - lm.w0.ravel())
     w_lib, u_lib = ngd_discrete(lm, eta=eta, k=k, loss=loss)
-    assert np.allclose(w_lib, w, atol=1e-10)
+    assert np.allclose(w_lib.ravel(), w, atol=1e-10)
     assert np.allclose(u_lib, u, atol=1e-10)
     # residual still shrinks under the robust loss
     assert np.linalg.norm(lm.y - u_lib) < np.linalg.norm(lm.y - lm.u0)
 
 
-def test_t_infinity_kills_every_mode(lm):
-    lam_min = float(np.linalg.eigvalsh(lm.J @ lm.J.T)[0])
+def test_t_infinity_kills_every_mode(lm, J):
+    lam_min = float(np.linalg.eigvalsh(J @ J.T)[0])
     horizon = t_infinity(lm)
     assert np.exp(-lam_min * horizon) <= 1e-12 * (1 + 1e-9)
     assert np.exp(-horizon) <= 1e-12 * (1 + 1e-9)
 
 
 def test_t_infinity_scales_with_slow_modes():
-    rng = np.random.default_rng(2)
-    J = rng.standard_normal((4, 9))
-    base = dict(w0=np.zeros(9), u0=np.zeros(4), y=np.ones(4))
-    fast = LinearizedModel(J=10.0 * J, **base)
-    slow = LinearizedModel(J=0.1 * J, **base)
+    p = init_network(6, 3, nu=1.0, seed=2)
+    jv = jacobian(p, synth_sphere(4, 3, seed=2).X)
+    base = dict(w0=np.zeros((6, 3)), u0=np.zeros(4), y=np.ones(4))
+    fast = LinearizedModel(jv=replace(jv, X=10.0 * jv.X), **base)  # J scaled by 10
+    slow = LinearizedModel(jv=replace(jv, X=0.1 * jv.X), **base)
     assert t_infinity(slow) > t_infinity(fast)
     assert t_infinity(fast) == pytest.approx(np.log(1e12))  # lambda_min > 1 capped

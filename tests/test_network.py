@@ -25,6 +25,11 @@ def inputs():
     return synth_sphere(7, 5, seed=1).X
 
 
+def rows(jv):
+    """The Jacobian row by row, row i being J^T e_i from the view's grad_matrix."""
+    return np.stack([jv.grad_matrix(e).ravel() for e in np.eye(jv.n)])
+
+
 def test_init_deterministic_and_frozen():
     p = init_network(8, 3, nu=0.5, seed=4)
     q = init_network(8, 3, nu=0.5, seed=4)
@@ -91,7 +96,7 @@ def test_activation_ties_count_as_active(inputs):
 
 
 def test_jacobian_dense_matches_loop_oracle(small_net, inputs):
-    J = jacobian(small_net, inputs).dense()
+    J = rows(jacobian(small_net, inputs))
     expected = oracles.dense_jacobian_loops(small_net.w, small_net.a, inputs)
     assert np.max(np.abs(J - expected)) < 1e-15
     assert np.array_equal(J == 0.0, expected == 0.0)  # same sparsity pattern
@@ -103,14 +108,14 @@ def test_jacobian_matches_finite_differences():
     p = init_network(10, 4, nu=1.0, seed=5)
     z = ds.X @ p.w.T
     assert np.abs(z).min() > 1e-3
-    J = jacobian(p, ds.X).dense()
+    J = rows(jacobian(p, ds.X))
     J_fd = oracles.fd_jacobian(lambda w: forward(p.with_weights(w), ds.X), p.w)
     assert np.max(np.abs(J - J_fd)) < 1e-9
 
 
 def test_jacobian_apply_weights_and_grad_matrix(small_net, inputs):
     jv = jacobian(small_net, inputs)
-    J = jv.dense()
+    J = oracles.dense_jacobian_loops(small_net.w, small_net.a, inputs)
     rng = np.random.default_rng(0)
     V = rng.standard_normal((small_net.m, small_net.d))
     assert np.allclose(jv.apply_weights(V), J @ V.ravel())
@@ -121,7 +126,7 @@ def test_jacobian_apply_weights_and_grad_matrix(small_net, inputs):
 def test_jacobian_view_shape_properties(small_net, inputs):
     jv = jacobian(small_net, inputs)
     assert (jv.n, jv.m, jv.d) == (7, 12, 5)
-    assert jv.dense().shape == (7, 60)
+    assert jv.S.shape == (7, 12) and jv.scale.shape == (12,)
 
 
 def test_checkpoint_round_trip(tmp_path, small_net):

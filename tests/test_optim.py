@@ -1,6 +1,7 @@
 """Optimizer steps against dense oracles, and the training-loop contract."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,6 +456,22 @@ def test_train_cg_marks_stagnation():
         assert [row.split(",")[-1] for row in rows] == [cell, cell]
 
 
+def test_train_cg_stagnates_on_singular_gram_without_overflow():
+    # m*d = 4 < n = 8: the undamped Gram is singular, and at seeds 15 and
+    # 160 roundoff left a tiny positive curvature that CG stepped by
+    cfg = OptimizerConfig(method="ngd_cg", eta=0.5, damping=0.0, max_steps=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for seed in range(200):
+            p, ds = init_network(2, 2, 1.0, seed), synth_sphere(8, 2, seed)
+            stepped, _ = ngd_cg_step(p, ds, 0.5, damping=0.0)
+            assert np.all(np.isfinite(stepped.w)), seed
+        for seed in (15, 160):
+            trace = train(init_network(2, 2, 1.0, seed), synth_sphere(8, 2, seed), cfg)
+            assert np.all(np.isfinite(trace.final_params.w))
+            assert trace.records[0].cg_stagnated is True
+
+
 def test_train_cg_agrees_with_exact_solve():
     ds = synth_sphere(10, 5, seed=11)
     p = init_network(128, 5, nu=1.0, seed=12)
@@ -495,7 +512,7 @@ def test_train_lambda_min_is_finite_gram_eigenvalue(m):
     current = p
     for rec in trace.records:
         current = ngd_exact_step(current, ds, eta=0.5, damping=0.0)
-        G = ng.finite_gram(jacobian(current, ds.X)).M
+        G = ng.finite_gram(jacobian(current, ds.X))
         assert rec.lambda_min_G == float(np.linalg.eigvalsh(G)[0])
 
 

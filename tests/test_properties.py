@@ -80,7 +80,7 @@ def test_jacobian_products_match_dense_oracle(instance):
     V = rng.standard_normal((p.m, p.d))
     np.testing.assert_allclose(jv.grad_matrix(rho).ravel(), J.T @ rho, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(jv.apply_weights(V), J @ V.ravel(), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(finite_gram(jv).M, J @ J.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(finite_gram(jv), J @ J.T, rtol=1e-12, atol=1e-12)
 
 
 @PROPERTY

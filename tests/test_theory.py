@@ -56,13 +56,17 @@ def test_rate_predictor_kfac():
     lam = np.linalg.eigvalsh(ds.X.T @ ds.X)
     eta = 0.5 * lam[0]  # inside the admissible range, no warning
     assert rate_predictor("kfac", eta, ds=ds) == pytest.approx(1.0 - eta / lam[-1])
-    assert rate_predictor("kfac", 0.5, lambda_max_xtx=2.0) == 0.75
+    # X^T X = diag(1, 2): lambda_max = 2, and eta = 1.5 sits above lambda_min only
+    diag12 = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), np.zeros(3))
+    assert rate_predictor("kfac", 0.5, ds=diag12) == 0.75
+    with pytest.warns(UserWarning, match="lambda_min"):
+        assert rate_predictor("kfac", 1.5, ds=diag12) == 0.25
     with pytest.warns(UserWarning, match="lambda_min"):
         rate_predictor("kfac", 100.0, ds=ds)
-    with pytest.raises(ValueError, match="ds or lambda_max_xtx"):
+    with pytest.raises(ValueError, match="needs ds"):
         rate_predictor("kfac", 0.5)
     with pytest.raises(ValueError, match="positive"):
-        rate_predictor("kfac", 0.5, lambda_max_xtx=-1.0)
+        rate_predictor("kfac", 0.5, ds=Dataset(np.zeros((3, 2)), np.zeros(3)))
 
 
 def test_rate_predictor_unknown_method():
