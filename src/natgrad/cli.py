@@ -550,9 +550,8 @@ def cmd_gram(args) -> int:
     G = gram_mod.limiting_gram(ds)
     lam_min = gram_mod.min_eig(G)
     lam_max = gram_mod.max_eig(G)
-    if args.export:  # one row per line, ended "\r\n" as RFC 4180 CSV
-        text = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in G)
-        _atomic_write_text(Path(args.export), text)
+    if args.export:
+        _atomic_write_text(Path(args.export), gram_mod.csv_text(G))
     print(
         _dump_json(
             {

@@ -39,6 +39,15 @@ def limiting_gram(ds: Dataset) -> np.ndarray:
     return inner * (np.pi - np.arccos(inner)) / (2.0 * np.pi)
 
 
+def csv_text(M: np.ndarray) -> str:
+    """M as CSV: one row per line, ended "\\r\\n" as RFC 4180, entries in repr.
+
+    repr of a float64 round-trips exactly, so np.loadtxt(..., delimiter=",")
+    reads back M bit for bit.
+    """
+    return "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in M)
+
+
 def coactivation(S: np.ndarray) -> np.ndarray:
     """S S^T for an n x m pattern with entries in {-1, 0, 1}, as float64.
 

@@ -158,3 +158,12 @@ def test_hadamard_bounds_rejects_bad_inputs():
         hadamard_bounds(np.triu(np.ones((3, 3))), good)
     with pytest.raises(ValueError, match="positive definite"):
         hadamard_bounds(np.diag([1.0, -1.0, 1.0]), good)
+
+
+def test_gram_csv_export(tmp_path, ds):
+    G = limiting_gram(ds)
+    path = tmp_path / "gram.csv"
+    path.write_bytes(gram.csv_text(G).encode())
+    back = np.loadtxt(path, delimiter=",")
+    assert np.array_equal(back, G)
+    assert path.read_bytes().count(b"\r\n") == ds.n
