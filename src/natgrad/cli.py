@@ -23,6 +23,7 @@ failure, 3 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -273,27 +274,8 @@ def load_config(path) -> ExperimentConfig:
 # artifact helpers
 
 
-def _sanitize(obj):
-    """Make obj JSON-safe: numpy to native, non-finite floats to null."""
-    if obj is None or isinstance(obj, (bool, str, int)):
-        return obj
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _sanitize(float(obj))
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(data_mod.jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
 def _atomic_via(writer, path: Path) -> None:
@@ -360,14 +342,11 @@ def _sweep_cells(sweeps: dict) -> list[dict]:
     ]
 
 
-def _fmt_value(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
 def _cell_name(cell: dict) -> str:
+    """key=value pairs in SWEEPS order (the order _sweep_cells builds)."""
     if not cell:
         return "run"
-    return "__".join(f"{k}={_fmt_value(cell[k])}" for k in SWEEPS if k in cell)
+    return "__".join(f"{k}={v}" for k, v in zip(cell, data_mod.cells(cell.values())))
 
 
 def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) -> Path:
@@ -638,21 +617,8 @@ def cmd_compare(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        cols = (
-            "method", "eta", "steps_to_threshold", "final_residual",
-            "predicted_factor", "observed_gm_factor",
-        )
-        lines = [",".join(cols)]
-        for row in rows:
-            cells = [row["method"]]
-            cells.append(repr(float(row["eta"])))
-            cells.append("" if row["steps_to_threshold"] is None else str(row["steps_to_threshold"]))
-            cells.append(repr(float(row["final_residual"])))
-            for key in ("predicted_factor", "observed_gm_factor"):
-                v = row[key]
-                cells.append("" if math.isnan(v) else repr(float(v)))
-            lines.append(",".join(cells))
-        _atomic_write_text(out_dir / "comparison.csv", "\n".join(lines) + "\n")
+        table = data_mod.csv_table(rows[0], (row.values() for row in rows))
+        _atomic_write_text(out_dir / "comparison.csv", table)
         _atomic_write_text(
             out_dir / "comparison.json",
             _dump_json({"threshold": COMPARE_THRESHOLD, "rows": rows}),
@@ -723,27 +689,23 @@ def cmd_linearized(args) -> int:
     )
     t_star = lin_mod.t_infinity(lm)
     ts = np.concatenate([[0.0], np.geomspace(1e-2, t_star, args.points - 1)])
-    lines = ["t,residual_gd,residual_ngd,weight_gap"]
+    ts[-1] = t_star  # geomspace with one sample returns its start, 1e-2
+    rows = []
     for t in ts:
         w_gd = lin_mod.gd_trajectory(lm, float(t))
         w_ngd = lin_mod.ngd_trajectory(lm, float(t))
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    t,
-                    np.linalg.norm(ds.y - lin_mod.outputs_at(lm, w_gd)),
-                    np.linalg.norm(ds.y - lin_mod.outputs_at(lm, w_ngd)),
-                    np.linalg.norm(w_gd - w_ngd),
-                )
-            )
-        )
+        rows.append((
+            t,
+            np.linalg.norm(ds.y - lin_mod.outputs_at(lm, w_gd)),
+            np.linalg.norm(ds.y - lin_mod.outputs_at(lm, w_ngd)),
+            np.linalg.norm(w_gd - w_ngd),
+        ))
     out_dir = Path(cfg.output["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "linearized.csv"
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    header = ("t", "residual_gd", "residual_ngd", "weight_gap")
+    _atomic_write_text(path, data_mod.csv_table(header, rows))
     limit = lin_mod.limit_weights(lm)
-    gap = float(np.linalg.norm(lin_mod.gd_trajectory(lm, t_star) - lin_mod.ngd_trajectory(lm, t_star)))
     if not args.quiet:
         print(
             _dump_json(
@@ -751,7 +713,7 @@ def cmd_linearized(args) -> int:
                     "path": str(path),
                     "t_star": t_star,
                     "points": int(ts.size),
-                    "limit_gap": gap,
+                    "limit_gap": rows[-1][3],  # the weight gap at t_star
                     "limit_residual": float(
                         np.linalg.norm(ds.y - lin_mod.outputs_at(lm, limit))
                     ),
@@ -763,13 +725,20 @@ def cmd_linearized(args) -> int:
 
 
 def _trace_summary_from_csv(path: Path) -> dict:
+    """Step count and last residual_norm of a trace CSV; FormatError on a
+    row without a numeric residual_norm."""
+    norms = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    records = len(lines) - 1
-    final = None
-    if records > 0:
-        final = float(lines[-1].split(",")[1])
-    return {"steps": records, "final_residual_norm": final, "source": path.name}
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                norms.append(float(row["residual_norm"]))
+            except (KeyError, TypeError, ValueError):
+                raise FormatError(
+                    f"{path}: line {reader.line_num} has no numeric residual_norm"
+                ) from None
+    final = norms[-1] if norms else None
+    return {"steps": len(norms), "final_residual_norm": final, "source": path.name}
 
 
 def _strings(value, kind: type) -> bool:

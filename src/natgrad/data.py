@@ -1,4 +1,4 @@
-"""Datasets of unit-sphere inputs with scalar targets.
+"""Datasets of unit-sphere inputs with scalar targets, and the artifact format.
 
 The convergence theory this library verifies assumes two geometric facts
 about the training inputs: every input lies on the unit sphere, and no two
@@ -6,10 +6,15 @@ inputs are parallel.  ``validate`` checks both and reports the margins; the
 training loop refuses data that has not passed.  Construction and loading
 deliberately do not enforce the checks, so that bad data can be loaded,
 inspected, and reported on.
+
+Every table natgrad writes spells its values by one rule, ``cells``, and
+``jsonable`` readies every JSON document; only the Gram matrix export,
+``gram.csv_text``, keeps NaN as ``nan`` so that ``np.loadtxt`` reads it.
 """
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -119,9 +124,10 @@ def load_csv(path, label_column: int | str = -1, normalize: bool = False) -> Dat
 
     The label column is selected by header name or zero-based index
     (negative indices count from the right).  A header row is detected by
-    trying to parse the first row as numbers.  With ``normalize=True``
-    every input row is scaled to unit norm; a zero row cannot be normalized
-    and raises DegenerateInputError.  Validation is NOT performed here; run
+    trying to parse the first row as numbers.  A data cell that is not a
+    finite number raises FormatError naming its row and column.  With
+    ``normalize=True`` every input row is scaled to unit norm; a zero row
+    cannot be normalized and raises DegenerateInputError.  Validation is NOT performed here; run
     ``validate`` on the result.
     """
     path = Path(path)
@@ -160,11 +166,15 @@ def load_csv(path, label_column: int | str = -1, normalize: bool = False) -> Dat
             raise FormatError(f"{path}: row {i + first_data_row} has {len(row)} cells, expected {ncols}")
         for j, cell in enumerate(row):
             try:
-                values[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise FormatError(
-                    f"{path}: row {i + first_data_row}, column {j + 1}: could not parse {cell.strip()!r}"
-                ) from None
+                    f"{path}: row {i + first_data_row}, column {j + 1}: "
+                    f"could not parse {cell.strip()!r} as a finite number"
+                )
+            values[i, j] = value
 
     y = values[:, label_idx]
     X = np.delete(values, label_idx, axis=1)
@@ -183,16 +193,56 @@ def save_csv(ds: Dataset, path, header: bool = True) -> None:
     """Write a Dataset as CSV, features first and the label last.
 
     Mirrors the load format: ``load_csv(path)`` with the default label
-    column reproduces the Dataset exactly (floats are written with repr,
-    which round-trips).
+    column reproduces the Dataset exactly (cells are written by ``cells``).
     """
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header:
             writer.writerow([f"x{j}" for j in range(ds.d)] + ["y"])
-        for xi, yi in zip(ds.X, ds.y):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
+        writer.writerows(cells(row) for row in np.column_stack([ds.X, ds.y]).tolist())
+
+
+def cells(values) -> list[str]:
+    """Each value as an artifact cell: "" for None or NaN, "1"/"0" for a
+    bool, an int or string as written, any other number as the repr of
+    its float."""
+    out = []
+    for v in values:
+        if isinstance(v, float):  # np.float64 too; the common case goes first
+            out.append("" if math.isnan(v) else repr(float(v)))
+        elif isinstance(v, bool):
+            out.append("1" if v else "0")
+        elif isinstance(v, (int, np.integer, str)):
+            out.append(str(v))
+        else:
+            out.append("" if v is None or math.isnan(v) else repr(float(v)))
+    return out
+
+
+def csv_table(header, rows) -> str:
+    """A header line, then one line of ``cells`` per row, each ended by a newline."""
+    lines = [",".join(header)] + [",".join(cells(row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def jsonable(obj):
+    """obj made JSON-safe: numpy values to native ones, non-finite floats
+    to None, through dicts (keys as strings), lists and tuples."""
+    if obj is None or isinstance(obj, (bool, str, int)):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return f if math.isfinite(f) else None
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj
 
 
 def _all_numeric(row: list[str]) -> bool:

@@ -25,7 +25,6 @@ and optional diagnostics read from the same activation pattern.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import gram, network
-from .data import Dataset, validate
+from .data import Dataset, csv_table, jsonable, validate
 from .errors import DivergenceError, RankDeficiencyError, SingularMatrixError
 from .gram import PD_FLOOR
 from .network import NetworkParams
@@ -153,27 +152,29 @@ class OptimizerConfig:
 # linear-algebra helpers
 
 
-def _auto_damping(G: np.ndarray) -> float:
-    return AUTO_DAMPING_SCALE * float(np.trace(G)) / G.shape[0]
+def _damped(G: np.ndarray, damping: float | None) -> tuple[np.ndarray, float]:
+    """(G + lam I, lam), where lam is damping or, for damping = None, the
+    relative default 1e-8 tr(G)/n; G itself when lam is 0."""
+    lam = AUTO_DAMPING_SCALE * float(np.trace(G)) / G.shape[0] if damping is None else damping
+    return (G + lam * np.eye(G.shape[0]) if lam > 0 else G), lam
 
 
 def _solve_gram(
     G: np.ndarray, rhs: np.ndarray, damping: float | None, what: str = "output Gram"
 ) -> np.ndarray:
-    """Solve (G + damping I) z = rhs behind _guarded_solve's guard.
+    """Solve (G + damping I) z = rhs, damping as _damped reads it, behind
+    _guarded_solve's guard.
 
-    damping = None picks a relative default, 1e-8 tr(G)/n.  Raises
-    SingularMatrixError, naming the matrix as `what`, when the guard
-    fails; only then is eigvalsh paid for, to report lambda_min.
+    Raises SingularMatrixError, naming the matrix as `what`, when the
+    guard fails; only then is eigvalsh paid for, to report lambda_min.
     """
-    if damping is None:
-        damping = _auto_damping(G)
-    z = _guarded_solve(G + damping * np.eye(G.shape[0]) if damping > 0 else G, rhs)
+    damped, lam = _damped(G, damping)
+    z = _guarded_solve(damped, rhs)
     if z is None:
         lam_min = float(np.linalg.eigvalsh(G)[0])
         raise SingularMatrixError(
             f"{what} is numerically singular: lambda_min + damping = "
-            f"{lam_min + damping:.3e} <= {PD_FLOOR:.0e}"
+            f"{lam_min + lam:.3e} <= {PD_FLOOR:.0e}"
         )
     return z
 
@@ -298,10 +299,7 @@ def ngd_cg_step(
     """
 
     def solve(G, g):
-        lam = _auto_damping(G) if damping is None else damping
-        if lam > 0:
-            G = G + lam * np.eye(G.shape[0])
-        z, _, converged = cg_solve(G, g, cg_iters, cg_tol)
+        z, _, converged = cg_solve(_damped(G, damping)[0], g, cg_iters, cg_tol)
         return z, converged
 
     return _ngd_step(p, ds, eta, loss, solve, u)
@@ -333,10 +331,9 @@ def kfac_step(
     jv = network.jacobian(p, ds.X)  # S~ = S diag(jv.scale)
     A = (jv.S @ jv.S.T) / p.m  # S~ S~^T, from exact float64 counts
     scaled = (u - ds.y)[:, None] * ds.X  # diag(rho) X, n x d
-    if damping is None:
-        damping = _auto_damping(A)
-    if damping > 0.0:
-        middle = _solve_gram(A, scaled, damping, "unit factor")
+    damped, lam = _damped(A, damping)
+    if lam > 0.0:
+        middle = _solve_gram(damped, scaled, 0.0, "unit factor")  # already damped
     elif (middle := _guarded_solve(A, scaled)) is None:  # rank-deficient pattern
         middle = np.linalg.pinv(A, hermitian=True) @ scaled  # least squares
     update = ((np.linalg.solve(XtX, middle.T) @ jv.S) * jv.scale).T  # S~^T middle (X^T X)^-1
@@ -360,24 +357,6 @@ class StepRecord:
     lambda_min_G: float | None = None
     jacobian_drift: float | None = None
     cg_stagnated: bool | None = None
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    f = float(v)
-    if math.isnan(f):
-        return ""
-    return repr(f)
-
-
-def _jsonable(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    f = float(v)
-    return None if math.isnan(f) else f
 
 
 @dataclass(frozen=True)
@@ -408,33 +387,27 @@ class ConvergenceTrace:
         return None
 
     def csv_text(self) -> str:
-        lines = [",".join(TRACE_COLUMNS)]
-        for rec in self.records:
-            row = [str(rec.k)] + [_cell(getattr(rec, name)) for name in TRACE_COLUMNS[1:]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.csv_text())
+        """The trace table, one row per record in TRACE_COLUMNS order."""
+        return csv_table(
+            TRACE_COLUMNS,
+            ([getattr(rec, name) for name in TRACE_COLUMNS] for rec in self.records),
+        )
 
     def json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "eta": self.eta,
-            "initial_residual_norm": self.initial_residual_norm,
-            "final_residual_norm": _jsonable(self.final_residual_norm),
-            "steps": len(self.records),
-            "records": [
-                {name: _jsonable(getattr(rec, name)) for name in TRACE_COLUMNS}
-                for rec in self.records
-            ],
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        """The trace as a JSON-safe document: a NaN becomes None (null)."""
+        return jsonable(
+            {
+                "method": self.method,
+                "eta": self.eta,
+                "initial_residual_norm": self.initial_residual_norm,
+                "final_residual_norm": self.final_residual_norm,
+                "steps": len(self.records),
+                "records": [
+                    {name: getattr(rec, name) for name in TRACE_COLUMNS}
+                    for rec in self.records
+                ],
+            }
+        )
 
 
 def predicted_factor(cfg: OptimizerConfig, ds: Dataset) -> float:

@@ -152,6 +152,29 @@ def test_gram_reports_spectrum(tmp_path, capsys):
     assert export.read_bytes().count(b"\r\n") == 12
 
 
+def test_non_finite_data_cells_exit_three(tmp_path, capsys):
+    """A nan or inf cell is a format error, whichever command reads it."""
+    def lines(rows):
+        return "".join(",".join(row) + "\n" for row in rows)
+
+    ds = ng.synth_sphere(8, 4, seed=0)
+    rows = [[repr(v) for v in row] for row in np.column_stack([ds.X, ds.y]).tolist()]
+    rows[1][0] = "nan"  # file row 3, below the header
+    nan_feature = tmp_path / "nan.csv"
+    nan_feature.write_text("x0,x1,x2,x3,y\n" + lines(rows))
+    assert main(["gram", "--data", str(nan_feature)]) == 3
+    assert "row 3, column 1: could not parse 'nan'" in capsys.readouterr().err
+
+    rows[1][0], rows[2][4] = repr(ds.X[1, 0].item()), "inf"  # no header: row 3 is rows[2]
+    inf_label = tmp_path / "inf.csv"
+    inf_label.write_text(lines(rows))
+    cfg = base_config(tmp_path / "run")
+    cfg["data"] = {"path": str(inf_label)}
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 3
+    assert "row 3, column 5: could not parse 'inf'" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -557,6 +580,17 @@ def test_linearized_peak_memory_below_dense_jacobian(tmp_path):
     assert peak < n * m * d * 8, f"peak {peak / 2**20:.1f} MiB"  # the dense J alone: 33.5 MB
 
 
+def test_linearized_two_points_end_at_t_star(tmp_path, capsys):
+    cfgp = write_config(tmp_path, base_config(tmp_path / "lin"))
+    assert main(["linearized", "--config", cfgp, "--points", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    lines = (tmp_path / "lin" / "linearized.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + 2
+    assert float(lines[1].split(",")[0]) == 0.0
+    assert float(lines[2].split(",")[0]) == doc["t_star"]
+    assert float(lines[2].split(",")[3]) == doc["limit_gap"]
+
+
 def test_linearized_needs_two_points(tmp_path, capsys):
     cfgp = write_config(tmp_path, base_config(tmp_path / "x"))
     assert main(["linearized", "--config", cfgp, "--points", "1"]) == 1
@@ -628,6 +662,23 @@ def test_report_malformed_manifest_exits_three(tmp_path, capsys, manifest):
     assert main(["report", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("natgrad: input error: ") and "manifest.json" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "last_row, line",
+    [("7", 3), ("1,abc", 3), ("\n\n2,", 5)],
+    ids=["truncated", "non_numeric", "blank_norm"],
+)
+def test_report_malformed_trace_csv_exits_three(tmp_path, capsys, last_row, line):
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"runs": [{"name": "run", "files": {"trace_csv": "trace.csv"}}]})
+    )
+    (tmp_path / "trace.csv").write_text(f"{TRACE_HEADER}\n1,0.5,,,,,,,\n{last_row}\n")
+    assert main(["report", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("natgrad: input error: ")
+    assert f"trace.csv: line {line} has no numeric residual_norm" in err
     assert not (tmp_path / "report.json").exists()
 
 

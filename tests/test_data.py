@@ -1,4 +1,6 @@
-"""Dataset construction, validation, and CSV round-trips."""
+"""Dataset construction, validation, CSV round-trips and the artifact cell rule."""
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from natgrad import (
     synth_sphere,
     validate,
 )
+from natgrad.data import cells, csv_table, jsonable
 
 
 def test_dataset_shape_checks():
@@ -158,6 +161,15 @@ def test_load_csv_format_errors(tmp_path):
     with pytest.raises(FormatError, match=r"row 3, column 2.*'oops'"):
         load_csv(junk)
 
+    # a non-finite cell is rejected like one that does not parse
+    for column, cell in ((1, "nan"), (3, "inf"), (2, "-Infinity")):
+        row = ["0.6", "0.8", "1"]
+        row[column - 1] = cell
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text("x0,x1,y\n1,0,1\n" + ",".join(row) + "\n")
+        with pytest.raises(FormatError, match=rf"row 3, column {column}.*'{cell}'"):
+            load_csv(nonfinite)
+
     missing = tmp_path / "missing.csv"
     missing.write_text("x0,x1,y\n1,2,3\n4,5,6\n")
     with pytest.raises(FormatError, match="no column named 'z'"):
@@ -189,3 +201,17 @@ def test_load_csv_skips_blank_lines(tmp_path):
     path.write_text("x0,x1,y\n1,0,1\n\n0,1,-1\n\n")
     ds = load_csv(path)
     assert ds.n == 2
+
+
+def test_artifact_cells_and_json():
+    assert cells([None, math.nan, np.float32("nan"), True, False, 7, "gd"]) == [
+        "", "", "", "1", "0", "7", "gd",
+    ]
+    assert cells([0.1, np.float64(1 / 3), -math.inf, np.int64(2)]) == [
+        "0.1", repr(1 / 3), "-inf", "2",
+    ]
+    assert csv_table(("a", "b"), [(1, None), (0.5, False)]) == "a,b\n1,\n0.5,0\n"
+    assert csv_table(("a",), []) == "a\n"
+    doc = jsonable({1: np.arange(2), "x": (np.float64(math.inf), np.int64(3), math.nan, None)})
+    assert doc == {"1": [0, 1], "x": [None, 3, None, None]}
+    assert type(doc["x"][1]) is int

@@ -4,8 +4,9 @@ Modules may import only modules earlier in ORDER, which refines
 data -> network -> gram -> {theory, optim, linearized} -> cli.  No module
 reaches into another's private names, PD_FLOOR is defined once, the
 activation tie rule is written once for network weights, and the Jacobian
-is never made dense nor the Gram wrapped in a class.  Every
-third-party module the tests import is declared in pyproject.toml.
+is never made dense nor the Gram wrapped in a class.  Only data spells
+artifact values: optim and cli call no repr.  Every third-party module
+the tests import is declared in pyproject.toml.
 """
 import ast
 import re
@@ -140,6 +141,18 @@ def test_no_dense_jacobian_or_gram_wrapper():
                 func = node.func
                 if getattr(func, "attr", getattr(func, "id", None)) == "dense":
                     found.append(f"{name} calls dense")
+    assert found == []
+
+
+def test_cell_rule_written_in_data_only():
+    """optim and cli call no repr: every value they write is spelled by
+    data.cells or data.jsonable."""
+    found = [
+        name
+        for name in ("optim", "cli")
+        for node in ast.walk(parse(name))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr"
+    ]
     assert found == []
 
 
