@@ -15,7 +15,8 @@ ds = ng.synth_sphere(n=5, d=3, seed=4)
 params = ng.init_network(m=8, d=3, nu=1.0, seed=4)
 y = ds.y
 
-lin = ng.LinearizedModel(ng.jacobian(params, ds.X), params.w, ng.forward(params, ds.X), y)
+u0, S0 = ng.forward(params, ds.X)  # outputs and activation pattern at the start
+lin = ng.LinearizedModel(ng.JacobianView(ds.X, S0, params.a), params.w, u0, y)
 print(f"lambda_min(J J^T) = {lin.eig[0][0]:.4f}")
 
 print("\nresiduals along the two flows:")

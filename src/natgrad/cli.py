@@ -32,6 +32,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -354,10 +355,9 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
     artifacts into the output directory.  Returns the manifest path."""
     if cfg.output["dir"] is None:
         raise ConfigError("config.output.dir: required (or pass --out)")
+    ds, fr = build_dataset(cfg)  # a malformed dataset exits before any directory is made
     out_dir = Path(cfg.output["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    ds, fr = build_dataset(cfg)
     artifacts: list[str] = []
     _atomic_via(lambda p: data_mod.save_csv(ds, p), out_dir / "data.csv")
     artifacts.append("data.csv")
@@ -684,9 +684,8 @@ def cmd_linearized(args) -> int:
         raise ConfigError("config.output.dir: required (or pass --out)")
     ds, _ = build_dataset(cfg)
     params = _init_params(cfg.model, ds)
-    lm = lin_mod.LinearizedModel(
-        network.jacobian(params, ds.X), params.w, network.forward(params, ds.X), ds.y
-    )
+    u0, S0 = network.forward(params, ds.X)
+    lm = lin_mod.LinearizedModel(network.JacobianView(ds.X, S0, params.a), params.w, u0, ds.y)
     t_star = lin_mod.t_infinity(lm)
     ts = np.concatenate([[0.0], np.geomspace(1e-2, t_star, args.points - 1)])
     ts[-1] = t_star  # geomspace with one sample returns its start, 1e-2
@@ -925,6 +924,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning on the CLI's stderr as one natgrad: line, without
+    the library's file path and source line."""
+    print(f"natgrad: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -934,7 +939,9 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except ConfigError as exc:
         print(f"natgrad: config error: {exc}", file=sys.stderr)
         return 1

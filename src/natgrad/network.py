@@ -5,10 +5,15 @@
 Only w is ever updated; the output signs a and the initialization snapshot
 w0 are frozen at construction.  The Jacobian of the output vector with
 respect to the flattened weights factors as a row-wise Khatri-Rao product
-of the activation pattern S (n x m, 0/1, from activation_pattern) and the
-input matrix, with unit r scaled by a_r / sqrt(m).  Every consumer works
-with the factors (X, S, a); the dense n x (m*d) matrix is formed only by
-the test oracles.
+of the activation pattern S (n x m, 0/1) and the input matrix, with unit r
+scaled by a_r / sqrt(m).  Every consumer works with the factors (X, S, a);
+the dense n x (m*d) matrix is formed only by the test oracles.
+
+forward(p, X) is the one evaluation of an iterate: it forms the
+pre-activations X w^T once and returns both the outputs u and the pattern
+S, so a training step and its diagnostics read the same S.
+activation_pattern(p, X) gives S alone.  Both take the tie rule
+(w_r . x_i = 0 counts as active) from one private helper.
 """
 from __future__ import annotations
 
@@ -102,7 +107,9 @@ class JacobianView:
         return np.einsum("ic,ic->i", self.X, self.S @ (V * self.scale[:, None]))
 
     def grad_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """J.T @ rho reshaped to m x d: S^T diag(rho) X, rows times scale."""
+        """J.T @ rho reshaped to m x d: S^T diag(rho) X, rows times scale.
+        A fresh array (the transpose of a d x m product): callers may
+        scale it in place."""
         G = (rho[:, None] * self.X).T @ self.S  # d x m
         return np.multiply(G, self.scale, out=G).T  # in place: no second d x m array
 
@@ -122,24 +129,32 @@ def init(m: int, d: int, nu: float, seed: int) -> NetworkParams:
     return NetworkParams(w=w, a=a, nu=nu, w0=w.copy(), seed=seed)
 
 
-def forward(p: NetworkParams, X: np.ndarray) -> np.ndarray:
-    """Network outputs u_i = (1/sqrt(m)) sum_r a_r max(w_r . x_i, 0)."""
+def forward(p: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, S): the outputs u_i = (1/sqrt(m)) sum_r a_r max(w_r . x_i, 0) and
+    the n x m float64 0/1 activation pattern of the same pre-activations,
+    equal to activation_pattern(p, X).  X w^T is formed once; S reuses its
+    buffer."""
     X = _check_inputs(p, X)
     Z = X @ p.w.T
-    return (np.maximum(Z, 0.0, out=Z) @ p.a) / np.sqrt(p.m)  # in place: one n x m array
+    active = _active(Z)  # bool, taken before max(Z, 0) overwrites the signs
+    u = (np.maximum(Z, 0.0, out=Z) @ p.a) / np.sqrt(p.m)  # in place
+    np.copyto(Z, active)  # S in Z's buffer: no second n x m float64 array
+    return u, Z
 
 
 def activation_pattern(p: NetworkParams, X: np.ndarray) -> np.ndarray:
     """S[i, r] = 1{w_r . x_i >= 0} as an n x m float64 0/1 array (float64
-    keeps its products in BLAS); ties count as active.  The one place this
-    rule is written for network weights: every consumer reads this array."""
+    keeps its products in BLAS); ties count as active.  forward(p, X)
+    returns the same array alongside the outputs."""
     X = _check_inputs(p, X)
     Z = X @ p.w.T
-    return np.greater_equal(Z, 0.0, out=Z)  # in place: no bool temporary
+    return _active(Z, out=Z)  # in place: no bool temporary
 
 
 def jacobian(p: NetworkParams, X: np.ndarray) -> JacobianView:
-    """Jacobian of forward(p, X) with respect to vec(w), as factors."""
+    """Jacobian of the outputs of forward(p, X) with respect to vec(w), as
+    factors.  A caller that already has forward's pattern S builds
+    JacobianView(X, S, p.a) directly."""
     X = _check_inputs(p, X)
     return JacobianView(X=X, S=activation_pattern(p, X), a=p.a)
 
@@ -159,6 +174,12 @@ def load_params(path) -> NetworkParams:
             w0=archive["w0"],
             seed=int(archive["seed"]),
         )
+
+
+def _active(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Z >= 0, the activation rule for network weights (ties active), as a
+    bool array or written as 0/1 into out.  The one place it is written."""
+    return np.greater_equal(Z, 0.0, out=out)
 
 
 def _check_inputs(p: NetworkParams, X: np.ndarray) -> np.ndarray:

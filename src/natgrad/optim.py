@@ -13,15 +13,17 @@ than the p x p parameter matrix, so its cost is governed by the sample
 count, not the parameter count.  K-FAC replaces the Gram inverse with a
 Kronecker factorization: a unit-side factor S~ S~^T and an input-side
 factor X^T X, each inverted separately.  S~ = S diag(a) / sqrt(m) for the
-0/1 pattern S of network.activation_pattern is never formed: S~ S~^T is
-S S^T / m, and a / sqrt(m) scales the m x d side of each product.  With
+0/1 pattern S of network.forward is never formed: S~ S~^T is S S^T / m,
+and a / sqrt(m) scales the m x d side of each product.  With
 damping = 0 the unit-side factor gets the output Gram's guarded solve; its
 pseudoinverse is the fallback only when that PD guard fails.
 
 train() drives any of these for a fixed number of steps and records a
 ConvergenceTrace: per-step residual norm, loss, weight drift from
 initialization, the predicted geometric bound on the squared residual,
-and optional diagnostics read from the same activation pattern.
+and optional diagnostics.  It evaluates the network once per iterate:
+the outputs and activation pattern from one network.forward call feed
+that iterate's record and diagnostics and the next step.
 """
 from __future__ import annotations
 
@@ -229,19 +231,34 @@ def cg_solve(
 # ---------------------------------------------------------------------------
 # single steps (pure: each returns a new NetworkParams)
 #
-# Each step takes u, the network outputs at p, when the caller already has
-# them (train() computes them for its record); u=None computes them.
+# Each step takes fwd = network.forward(p, ds.X), the outputs and the
+# activation pattern at p, when the caller already has them (train()
+# carries them from one iterate to the next); fwd=None computes them.
+
+Forward = tuple[np.ndarray, np.ndarray]
+
+
+def _evaluated(
+    p: NetworkParams, ds: Dataset, fwd: Forward | None
+) -> tuple[np.ndarray, network.JacobianView]:
+    """The outputs u at p and the Jacobian on forward's pattern S."""
+    u, S = network.forward(p, ds.X) if fwd is None else fwd
+    return u, network.JacobianView(X=ds.X, S=S, a=p.a)
+
+
+def _updated(p: NetworkParams, eta: float, G: np.ndarray) -> NetworkParams:
+    """p with w - eta G.  G is the step's own fresh array, scaled in place,
+    so the new weights are the one m x d array allocated here."""
+    G *= eta
+    return p.with_weights(p.w - G)
 
 
 def gd_step(
-    p: NetworkParams, ds: Dataset, eta: float, u: np.ndarray | None = None
+    p: NetworkParams, ds: Dataset, eta: float, fwd: Forward | None = None
 ) -> NetworkParams:
     """Plain gradient descent on the mean squared loss: w -= (eta/n) J^T rho."""
-    if u is None:
-        u = network.forward(p, ds.X)
-    jv = network.jacobian(p, ds.X)
-    w_new = p.w - (eta / ds.n) * jv.grad_matrix(u - ds.y)
-    return p.with_weights(w_new)
+    u, jv = _evaluated(p, ds, fwd)
+    return _updated(p, eta / ds.n, jv.grad_matrix(u - ds.y))
 
 
 def _ngd_step(
@@ -250,16 +267,14 @@ def _ngd_step(
     eta: float,
     loss: LossSpec,
     solve: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
-    u: np.ndarray | None,
+    fwd: Forward | None,
 ) -> tuple[NetworkParams, bool]:
     """w <- w - eta J^T z with z from solve(G, g(u)): the n x n Gram
     G = J J^T against the output-space loss gradient g(u).  solve returns
     (z, converged)."""
-    if u is None:
-        u = network.forward(p, ds.X)
-    jv = network.jacobian(p, ds.X)
+    u, jv = _evaluated(p, ds, fwd)
     z, converged = solve(gram.finite_gram(jv), loss.grad(u, ds.y))
-    return p.with_weights(p.w - eta * jv.grad_matrix(z)), converged
+    return _updated(p, eta, jv.grad_matrix(z)), converged
 
 
 def ngd_exact_step(
@@ -268,7 +283,7 @@ def ngd_exact_step(
     eta: float,
     damping: float | None = None,
     loss: LossSpec = squared_loss(),
-    u: np.ndarray | None = None,
+    fwd: Forward | None = None,
 ) -> NetworkParams:
     """Natural-gradient step through a direct solve of the n x n Gram.
 
@@ -276,7 +291,7 @@ def ngd_exact_step(
     positive definite.
     """
     new_p, _ = _ngd_step(
-        p, ds, eta, loss, lambda G, g: (_solve_gram(G, g, damping), True), u
+        p, ds, eta, loss, lambda G, g: (_solve_gram(G, g, damping), True), fwd
     )
     return new_p
 
@@ -289,7 +304,7 @@ def ngd_cg_step(
     cg_iters: int = 100,
     cg_tol: float = 1e-10,
     loss: LossSpec = squared_loss(),
-    u: np.ndarray | None = None,
+    fwd: Forward | None = None,
 ) -> tuple[NetworkParams, bool]:
     """Natural-gradient step with the Gram system solved by CG.
 
@@ -302,7 +317,7 @@ def ngd_cg_step(
         z, _, converged = cg_solve(_damped(G, damping)[0], g, cg_iters, cg_tol)
         return z, converged
 
-    return _ngd_step(p, ds, eta, loss, solve, u)
+    return _ngd_step(p, ds, eta, loss, solve, fwd)
 
 
 def kfac_step(
@@ -310,7 +325,7 @@ def kfac_step(
     ds: Dataset,
     eta: float,
     damping: float | None = None,
-    u: np.ndarray | None = None,
+    fwd: Forward | None = None,
 ) -> NetworkParams:
     """Kronecker-factored step.
 
@@ -326,9 +341,7 @@ def kfac_step(
         raise RankDeficiencyError(
             "input factor X^T X is rank deficient; K-FAC needs rank-d inputs"
         )
-    if u is None:
-        u = network.forward(p, ds.X)
-    jv = network.jacobian(p, ds.X)  # S~ = S diag(jv.scale)
+    u, jv = _evaluated(p, ds, fwd)  # S~ = S diag(jv.scale)
     A = (jv.S @ jv.S.T) / p.m  # S~ S~^T, from exact float64 counts
     scaled = (u - ds.y)[:, None] * ds.X  # diag(rho) X, n x d
     damped, lam = _damped(A, damping)
@@ -336,8 +349,9 @@ def kfac_step(
         middle = _solve_gram(damped, scaled, 0.0, "unit factor")  # already damped
     elif (middle := _guarded_solve(A, scaled)) is None:  # rank-deficient pattern
         middle = np.linalg.pinv(A, hermitian=True) @ scaled  # least squares
-    update = ((np.linalg.solve(XtX, middle.T) @ jv.S) * jv.scale).T  # S~^T middle (X^T X)^-1
-    return p.with_weights(p.w - eta * update)
+    update = np.linalg.solve(XtX, middle.T) @ jv.S  # (X^T X)^-1 middle^T S, d x m
+    update *= jv.scale  # in place: S~^T middle (X^T X)^-1, transposed
+    return _updated(p, eta, update.T)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +451,10 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
             f"min pairwise angle gap {report.min_pairwise_angle_gap:.3e}"
         )
 
-    u0 = network.forward(p, ds.X)
-    r0 = float(np.linalg.norm(u0 - ds.y))
+    u, S = network.forward(p, ds.X)  # outputs and pattern at the current iterate
+    r0 = float(np.linalg.norm(u - ds.y))
     factor = predicted_factor(cfg, ds)
-    diagnostics = cfg.track_lambda_min or cfg.track_jacobian_drift
-    if diagnostics:
+    if cfg.track_lambda_min or cfg.track_jacobian_drift:
         XXt = ds.X @ ds.X.T
     if cfg.track_jacobian_drift:
         # pattern of the stored initialization, not of the incoming weights
@@ -449,41 +462,42 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
 
     records: list[StepRecord] = []
     current = p
-    u = u0  # outputs at current, shared by the step and the record
     for k in range(1, cfg.max_steps + 1):
         stagnated: bool | None = None
+        fwd = (u, S)
         try:
             if cfg.method == "gd":
-                current = gd_step(current, ds, cfg.eta, u=u)
+                current = gd_step(current, ds, cfg.eta, fwd)
             elif cfg.method == "kfac":
-                current = kfac_step(current, ds, cfg.eta, cfg.damping, u=u)
+                current = kfac_step(current, ds, cfg.eta, cfg.damping, fwd)
             elif cfg.method == "ngd_exact":
-                current = ngd_exact_step(current, ds, cfg.eta, cfg.damping, cfg.loss, u=u)
+                current = ngd_exact_step(current, ds, cfg.eta, cfg.damping, cfg.loss, fwd)
             else:  # ngd_cg
                 current, converged = ngd_cg_step(
-                    current, ds, cfg.eta, cfg.damping, cfg.cg_iters, cfg.cg_tol, cfg.loss, u=u
+                    current, ds, cfg.eta, cfg.damping, cfg.cg_iters, cfg.cg_tol, cfg.loss, fwd
                 )
                 stagnated = not converged
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"training failed at step {k}: {exc}", step=k) from exc
 
-        u = network.forward(current, ds.X)
+        fwd = S = None  # an n x m array; drop it before forward forms the next
+        u, S = network.forward(current, ds.X)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(current.w))):
             raise DivergenceError(
                 f"training diverged at step {k}: non-finite outputs or weights", step=k
             )
 
-        diff = current.w - current.w0
         lam_min = None
         jac_drift = None
-        if diagnostics:
-            S = network.activation_pattern(current, ds.X)
-            if cfg.track_lambda_min:
-                lam_min = float(np.linalg.eigvalsh(gram.pattern_gram(XXt, S))[0])
-            if cfg.track_jacobian_drift:
-                jac_drift = gram.jacobian_drift(XXt, S, S0)
-            del S  # an n x m array; do not hold it through the next step
+        if cfg.track_lambda_min:
+            lam_min = float(np.linalg.eigvalsh(gram.pattern_gram(XXt, S))[0])
+        if cfg.track_jacobian_drift:
+            jac_drift = gram.jacobian_drift(XXt, S, S0)
 
+        diff = current.w - current.w0
+        weight_drift = float(np.linalg.norm(diff))
+        np.multiply(diff, diff, out=diff)  # in place: squared drift per entry
+        unit_drift = math.sqrt(float(np.max(np.add.reduce(diff, axis=1))))
         if cfg.loss.value is not None:
             loss_val = float(np.mean(cfg.loss.value(u, ds.y)))
         else:
@@ -493,8 +507,8 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
             k=k,
             residual_norm=float(np.linalg.norm(u - ds.y)),
             loss=loss_val,
-            weight_drift=float(np.linalg.norm(diff)),
-            per_unit_max_drift=float(np.max(np.linalg.norm(diff, axis=1))),
+            weight_drift=weight_drift,
+            per_unit_max_drift=unit_drift,
             predicted_bound=bound,
             lambda_min_G=lam_min,
             jacobian_drift=jac_drift,

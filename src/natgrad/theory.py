@@ -80,7 +80,7 @@ def check_conditions(
         raise ValueError(f"kappa = L/mu must be >= 1, got {kappa}")
 
     XXt = ds.X @ ds.X.T
-    S0 = network.activation_pattern(p, ds.X)
+    u0, S0 = network.forward(p, ds.X)
     lam0 = gram.min_eig(gram.pattern_gram(XXt, S0))
     drift = gram.jacobian_drift(XXt, network.activation_pattern(p_current, ds.X), S0)
 
@@ -97,7 +97,6 @@ def check_conditions(
             kappa=kappa,
         )
 
-    u0 = network.forward(p, ds.X)
     r0 = float(np.linalg.norm(ds.y - u0))
     sqrt_lam0 = math.sqrt(lam0)
     C = 3.0 * drift / sqrt_lam0

@@ -43,7 +43,7 @@ def test_criterion_02_one_step_convergence():
     ds = ng.synth_sphere(16, 8, seed=0)
     p = ng.init_network(2**14, 8, 1.0, seed=0)
     jv = ng.jacobian(p, ds.X)
-    u0 = ng.forward(p, ds.X)
+    u0, _ = ng.forward(p, ds.X)
     lm = ng.LinearizedModel(jv, p.w, u0, ds.y)
     r0 = float(np.linalg.norm(ds.y - u0))
     _, u1 = ng.ngd_discrete(lm, eta=1.0, k=1)
@@ -77,8 +77,8 @@ def test_criterion_04_kfac_output_identity():
     ds = ng.synth_sphere(16, 8, seed=7)
     p = ng.init_network(8192, 8, 1.0, seed=7)
     eta = 0.5
-    u0 = ng.forward(p, ds.X)
-    u1 = ng.forward(ng.kfac_step(p, ds, eta=eta, damping=0.0), ds.X)
+    u0, _ = ng.forward(p, ds.X)
+    u1, _ = ng.forward(ng.kfac_step(p, ds, eta=eta, damping=0.0), ds.X)
     H = ds.X @ np.linalg.solve(ds.X.T @ ds.X, ds.X.T)
     predicted = eta * np.diag(H) * (ds.y - u0)
     rel = float(np.linalg.norm((u1 - u0) - predicted) / np.linalg.norm(predicted))
@@ -135,7 +135,7 @@ def test_criterion_07_jacobian_finite_differences():
         if np.abs(ds.X @ p.w.T).min() <= 1e-3:
             continue  # too close to a kink for differencing
         J = oracles.dense_jacobian_loops(p.w, p.a, ds.X)
-        J_fd = oracles.fd_jacobian(lambda w: ng.forward(p.with_weights(w), ds.X), p.w)
+        J_fd = oracles.fd_jacobian(lambda w: ng.forward(p.with_weights(w), ds.X)[0], p.w)
         rel = float(np.linalg.norm(J - J_fd) / np.linalg.norm(J))
         worst = max(worst, rel)
         # the library's factored Jacobian through its two products
@@ -217,7 +217,7 @@ def test_criterion_12_general_loss_rate():
     ds = ng.synth_sphere(8, 4, seed=3)
     p = ng.init_network(64, 4, 1.0, seed=3)
     jv = ng.jacobian(p, ds.X)
-    lm = ng.LinearizedModel(jv, p.w, ng.forward(p, ds.X), ds.y)
+    lm = ng.LinearizedModel(jv, p.w, ng.forward(p, ds.X)[0], ds.y)
     loss = ng.logcosh_loss()  # mu = 0.5, L = 1.5
     eta = 2.0 / (loss.mu + loss.L)
     limit = 1.0 - 2.0 * eta * loss.mu * loss.L / (loss.mu + loss.L) + 0.05

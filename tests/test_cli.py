@@ -172,7 +172,7 @@ def test_non_finite_data_cells_exit_three(tmp_path, capsys):
     cfg["data"] = {"path": str(inf_label)}
     assert main(["train", "--config", write_config(tmp_path, cfg)]) == 3
     assert "row 3, column 5: could not parse 'inf'" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert not (tmp_path / "run").exists()  # the data is read before the run directory is made
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +489,25 @@ def test_compare_tabulates_methods(tmp_path, capsys):
     assert doc["threshold"] == 1e-3
     assert doc["rows"][0]["predicted_factor"] == 0.5
     assert doc["rows"][1]["predicted_factor"] is None
+
+
+def test_library_warning_printed_as_natgrad_line(tmp_path, capsys):
+    """A library UserWarning reaches stderr as one natgrad: line, without
+    the library's file path or source line."""
+    shared = base_config(tmp_path / "unused")
+    del shared["output"]
+    ds = ng.synth_sphere(8, 4, seed=0)
+    lam_min = float(np.linalg.eigvalsh(ds.X.T @ ds.X)[0])
+    kfac_cfg = json.loads(json.dumps(shared))
+    kfac_cfg["optimizer"] = {"method": "kfac", "eta": 2.0 * lam_min, "damping": 0.0, "max_steps": 5}
+    assert lam_min < kfac_cfg["optimizer"]["eta"] < 1.0
+    p1 = write_config(tmp_path, shared, "ngd.json")
+    p2 = write_config(tmp_path, kfac_cfg, "kfac.json")
+    assert main(["compare", "--config", p1, "--config", p2, "--quiet"]) == 0
+    err = capsys.readouterr().err
+    assert "natgrad: warning: eta = " in err
+    assert "exceeds lambda_min(X^T X)" in err
+    assert ".py:" not in err and "warnings.warn" not in err
 
 
 def test_compare_rejects_mismatched_data(tmp_path, capsys):

@@ -97,9 +97,10 @@ def test_pd_floor_defined_once():
 
 def test_tie_rule_written_once():
     """The activation rule z >= 0.0, written as a comparison or as
-    np.greater_equal(z, 0.0), appears in network.activation_pattern for
-    network weights and in gram.mc_limiting_gram for its random draws,
-    nowhere else."""
+    np.greater_equal(z, 0.0), appears in network._active for network
+    weights and in gram.mc_limiting_gram for its random draws, nowhere
+    else.  network.forward and network.activation_pattern both take it
+    from network._active, and activation_pattern does not call forward."""
 
     def is_rule(node):
         if isinstance(node, ast.Compare):
@@ -119,7 +120,16 @@ def test_tie_rule_written_once():
         for node in ast.walk(fn)
         if is_rule(node)
     ]
-    assert sorted(found) == ["gram.mc_limiting_gram", "network.activation_pattern"]
+    assert sorted(found) == ["gram.mc_limiting_gram", "network._active"]
+
+    called = {
+        fn.name: {node.func.id for node in ast.walk(fn) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)}
+        for fn in ast.walk(parse("network"))
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("forward", "activation_pattern")
+    }
+    assert "_active" in called["forward"] and "_active" in called["activation_pattern"]
+    assert "forward" not in called["activation_pattern"]
 
 
 def test_no_dense_jacobian_or_gram_wrapper():

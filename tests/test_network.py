@@ -69,15 +69,15 @@ def test_with_weights_preserves_frozen_state(small_net):
 
 
 def test_forward_matches_loop_oracle(small_net, inputs):
-    u = forward(small_net, inputs)
+    u, _ = forward(small_net, inputs)
     expected = oracles.relu_forward_loops(small_net.w, small_net.a, inputs)
     assert np.allclose(u, expected, atol=1e-14)
 
 
 def test_forward_single_input(small_net, inputs):
-    u = forward(small_net, inputs[0])
-    assert u.shape == (1,)
-    assert u[0] == pytest.approx(forward(small_net, inputs)[0])
+    u, S = forward(small_net, inputs[0])
+    assert u.shape == (1,) and S.shape == (1, small_net.m)
+    assert u[0] == pytest.approx(forward(small_net, inputs)[0][0])
 
 
 def test_forward_rejects_wrong_dimension(small_net):
@@ -109,7 +109,7 @@ def test_jacobian_matches_finite_differences():
     z = ds.X @ p.w.T
     assert np.abs(z).min() > 1e-3
     J = rows(jacobian(p, ds.X))
-    J_fd = oracles.fd_jacobian(lambda w: forward(p.with_weights(w), ds.X), p.w)
+    J_fd = oracles.fd_jacobian(lambda w: forward(p.with_weights(w), ds.X)[0], p.w)
     assert np.max(np.abs(J - J_fd)) < 1e-9
 
 

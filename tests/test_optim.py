@@ -44,7 +44,7 @@ def no_flip_instance(m=64, seed=0):
     w = np.tile([10.0, 0.0], (m, 1)) + 0.01 * rng.standard_normal((m, 2))
     a = rng.choice([-1.0, 1.0], size=m)
     p = NetworkParams(w=w, a=a, nu=1.0, w0=w.copy())
-    u0 = forward(p, X)
+    u0, _ = forward(p, X)
     ds = ng.Dataset(X, u0 + np.array([0.5, -0.5]))
     return p, ds
 
@@ -303,7 +303,7 @@ def test_exact_interpolation_without_pattern_flips():
     pattern_before = (ds.X @ p.w.T >= 0).astype(float)
     pattern_after = (ds.X @ stepped.w.T >= 0).astype(float)
     assert np.array_equal(pattern_before, pattern_after)
-    u = forward(stepped, ds.X)
+    u, _ = forward(stepped, ds.X)
     assert np.linalg.norm(u - ds.y) <= 1e-10
 
 
@@ -312,25 +312,27 @@ def test_forward_is_linear_within_pattern():
     jv = jacobian(p, ds.X)
     rng = np.random.default_rng(3)
     V = 0.01 * rng.standard_normal((p.m, p.d))
-    lhs = forward(p.with_weights(p.w + V), ds.X)
-    rhs = forward(p, ds.X) + jv.apply_weights(V)
+    lhs = forward(p.with_weights(p.w + V), ds.X)[0]
+    rhs = forward(p, ds.X)[0] + jv.apply_weights(V)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_steps_reuse_given_outputs():
-    # passing u = forward(p, X) must give bit-for-bit the step that
-    # computes the outputs itself
+    # passing fwd = forward(p, X) must give bit-for-bit the step that
+    # evaluates the network itself
     ds = synth_sphere(8, 4, seed=2)
     p = init_network(64, 4, nu=1.0, seed=3)
-    u = forward(p, ds.X)
+    fwd = forward(p, ds.X)
     steps = {
         "gd": lambda **kw: gd_step(p, ds, 0.5, **kw),
         "ngd_exact": lambda **kw: ngd_exact_step(p, ds, 0.5, 0.0, **kw),
         "ngd_cg": lambda **kw: ngd_cg_step(p, ds, 0.5, 0.0, **kw)[0],
         "kfac": lambda **kw: kfac_step(p, ds, 0.5, 0.0, **kw),
     }
+    pattern = fwd[1].copy()
     for name, step in steps.items():
-        assert step(u=u).w.tobytes() == step().w.tobytes(), name
+        assert step(fwd=fwd).w.tobytes() == step().w.tobytes(), name
+    assert np.array_equal(fwd[1], pattern)  # the steps read the pattern, never write it
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +358,39 @@ def test_train_evaluates_network_once_per_iterate(monkeypatch, method):
     assert seen[0] is p.w
     assert seen[-1] is trace.final_params.w
     assert len({id(w) for w in seen}) == 4
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+@pytest.mark.parametrize("method", ng.optim.METHODS)
+def test_train_forms_one_pre_activation_per_iterate(monkeypatch, method, diagnostics):
+    # forward is the one evaluation of each iterate; its pattern serves the
+    # step and the diagnostics, so activation_pattern runs only for the
+    # drift reference S0 and jacobian never runs
+    ds = synth_sphere(8, 4, seed=4)
+    p = init_network(64, 4, nu=1.0, seed=5)
+    calls = {"forward": 0, "activation_pattern": 0, "jacobian": 0}
+
+    def counted(name):
+        original = getattr(ng.network, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ng.network, name, counted(name))
+    cfg = OptimizerConfig(
+        method=method, eta=0.5, damping=0.0, max_steps=4,
+        track_lambda_min=diagnostics, track_jacobian_drift=diagnostics,
+    )
+    trace = train(p, ds, cfg)
+    assert calls == {
+        "forward": len(trace.records) + 1,
+        "activation_pattern": int(diagnostics),
+        "jacobian": 0,
+    }
 
 
 def test_train_produces_contracting_trace():

@@ -1,11 +1,11 @@
-"""Property tests: the factored Jacobian, the finite Gram and every step
-(gd, ngd_exact, ngd_cg, kfac) against the dense loop oracles, over shapes,
-seeds, forced ReLU ties, losses and damping.
+"""Property tests: the forward pass, the factored Jacobian, the finite Gram
+and every step (gd, ngd_exact, ngd_cg, kfac) against the dense loop
+oracles, over shapes, seeds, forced ReLU ties, losses and damping.
 
 A zeroed row r of w gives w_r . x_i = 0 for every input, a tie that the
 network counts as active, so those units exercise the tie rule of
-network.activation_pattern against the oracle's own.  derandomize=True
-makes every run draw the same examples.
+network.forward and network.activation_pattern against the oracle's own.
+derandomize=True makes every run draw the same examples.
 """
 import numpy as np
 import pytest
@@ -16,7 +16,9 @@ import oracles
 from natgrad import (
     NetworkParams,
     SingularMatrixError,
+    activation_pattern,
     finite_gram,
+    forward,
     gd_step,
     jacobian,
     kfac_step,
@@ -68,6 +70,20 @@ def damped_gram(p, ds, damping):
     lam = 1e-8 * np.trace(G) / ds.n if damping is None else damping
     eig = np.linalg.eigvalsh(G)
     return G, lam, (eig[-1] + lam) / max(eig[0] + lam, 1e-300)
+
+
+@PROPERTY
+@given(instances())
+def test_forward_matches_loop_oracle_and_pattern(instance):
+    # one X w^T gives both: u as the loop oracle computes it, and S bit for
+    # bit the array activation_pattern forms on its own
+    p, ds, _ = instance
+    u, S = forward(p, ds.X)
+    assert np.allclose(u, oracles.relu_forward_loops(p.w, p.a, ds.X), atol=1e-14)
+    assert S.dtype == np.float64 and S.shape == (ds.n, p.m)
+    assert S.tobytes() == activation_pattern(p, ds.X).tobytes()
+    J = oracles.dense_jacobian_loops(p.w, p.a, ds.X).reshape(ds.n, p.m, p.d)
+    assert np.array_equal(S, np.any(J != 0.0, axis=2))  # the oracle's ties count too
 
 
 @PROPERTY
