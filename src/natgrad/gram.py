@@ -7,10 +7,12 @@ The limiting Gram has the closed form
 the expectation over Gaussian weights of x_i.x_j 1{w.x_i >= 0, w.x_j >= 0}.
 At finite width the Gram of the Jacobian is the entrywise (Hadamard)
 product of X X^T and S S^T / m, which is how it is computed here, from
-the factored Jacobian: finite_gram is the one J J^T in the package.
-Every builder returns the n x n array itself.  Spectral helpers include
-the Hadamard-product eigenvalue bounds relating the factors' spectra to
-the product's.
+the factored Jacobian: finite_gram is the one J J^T in the package, and
+coactivation forms every count product S S^T (K-FAC's too).  Every
+builder returns the n x n array itself.  guarded_solve is the one PD
+guard and direct solve: the output Gram, both K-FAC factors and G_inf go
+through it.  Spectral helpers include the Hadamard-product eigenvalue
+bounds relating the factors' spectra to the product's.
 """
 from __future__ import annotations
 
@@ -60,9 +62,19 @@ def coactivation(S: np.ndarray) -> np.ndarray:
     return (F @ F.T).astype(np.float64)
 
 
+def pre_activation_gram(S: np.ndarray) -> np.ndarray:
+    """(1/m) S S^T from the 0/1 pattern S, scaled in place; diagonal at
+    most 1.  K-FAC's unit factor, and X X^T o this is the finite Gram."""
+    C = coactivation(S)
+    C /= S.shape[1]
+    return C
+
+
 def pattern_gram(XXt: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """(X X^T) o (S S^T) / m for an n x m pattern S with entries in {-1, 0, 1}."""
-    return XXt * (coactivation(S) / S.shape[1])
+    """(X X^T) o (S S^T) / m, formed in place, for S in {-1, 0, 1}^(n x m)."""
+    G = pre_activation_gram(S)
+    G *= XXt
+    return G
 
 
 def finite_gram(jv: JacobianView) -> np.ndarray:
@@ -122,13 +134,16 @@ def mc_limiting_gram(
     return inner * freq, stderr
 
 
-def pre_activation_gram(S: np.ndarray) -> np.ndarray:
-    """(1/m) S S^T from the 0/1 pattern S; diagonal at most 1.
-
-    Scaled so that the finite Gram is exactly the entrywise product of
-    X X^T with this matrix.
-    """
-    return coactivation(S) / S.shape[1]
+def guarded_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """np.linalg.solve(A, rhs) if A - PD_FLOOR I has a Cholesky factor, the
+    guard for lambda_min(A) > PD_FLOOR (safely positive definite); else None."""
+    shifted = A.copy()
+    shifted.flat[:: A.shape[0] + 1] -= PD_FLOOR
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(A, rhs)
 
 
 def min_eig(M: np.ndarray) -> float:
@@ -150,23 +165,17 @@ def hadamard_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     A * B from below, the second bounds its largest from above.  Both
     inputs must be symmetric positive definite.
     """
-    lam_B = None
     for name, M in (("A", A), ("B", B)):
-        M = np.asarray(M, dtype=float)
-        _check_symmetric(M, name)
-        lam = np.linalg.eigvalsh(M)
+        lam = _eigvalsh(M, name)  # B's spectrum after the loop
         if lam[0] <= 0:
             raise ValueError(f"{name} is not positive definite (lambda_min = {lam[0]:.3e})")
-        if name == "B":
-            lam_B = lam
-    A = np.asarray(A, dtype=float)
-    diag = np.diag(A)
-    return float(diag.min() * lam_B[0]), float(diag.max() * lam_B[-1])
+    diag = np.diag(np.asarray(A, dtype=float))
+    return float(diag.min() * lam[0]), float(diag.max() * lam[-1])
 
 
-def _eigvalsh(M) -> np.ndarray:
+def _eigvalsh(M, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    _check_symmetric(M, "matrix")
+    _check_symmetric(M, name)
     return np.linalg.eigvalsh(M)
 
 

@@ -13,10 +13,11 @@ than the p x p parameter matrix, so its cost is governed by the sample
 count, not the parameter count.  K-FAC replaces the Gram inverse with a
 Kronecker factorization: a unit-side factor S~ S~^T and an input-side
 factor X^T X, each inverted separately.  S~ = S diag(a) / sqrt(m) for the
-0/1 pattern S of network.forward is never formed: S~ S~^T is S S^T / m,
-and a / sqrt(m) scales the m x d side of each product.  With
-damping = 0 the unit-side factor gets the output Gram's guarded solve; its
-pseudoinverse is the fallback only when that PD guard fails.
+0/1 pattern S of network.forward is never formed: S~ S~^T is
+gram.pre_activation_gram(S), and a / sqrt(m) scales the m x d side of each
+product.  Every direct solve is gram.guarded_solve, the one PD guard: the
+output Gram's, the unit factor's and the input factor's.  With damping = 0
+the unit factor's pseudoinverse is the fallback only when that guard fails.
 
 train() drives any of these for a fixed number of steps and records a
 ConvergenceTrace: per-step residual norm, loss, weight drift from
@@ -164,33 +165,21 @@ def _damped(G: np.ndarray, damping: float | None) -> tuple[np.ndarray, float]:
 def _solve_gram(
     G: np.ndarray, rhs: np.ndarray, damping: float | None, what: str = "output Gram"
 ) -> np.ndarray:
-    """Solve (G + damping I) z = rhs, damping as _damped reads it, behind
-    _guarded_solve's guard.
-
-    Raises SingularMatrixError, naming the matrix as `what`, when the
-    guard fails; only then is eigvalsh paid for, to report lambda_min.
-    """
+    """Solve (G + damping I) z = rhs, damping as _damped reads it, by
+    gram.guarded_solve.  Raises SingularMatrixError, naming the matrix as
+    `what`, when the guard fails; only then is min_eig paid for."""
     damped, lam = _damped(G, damping)
-    z = _guarded_solve(damped, rhs)
-    if z is None:
-        lam_min = float(np.linalg.eigvalsh(G)[0])
+    if (z := gram.guarded_solve(damped, rhs)) is None:
         raise SingularMatrixError(
             f"{what} is numerically singular: lambda_min + damping = "
-            f"{lam_min + lam:.3e} <= {PD_FLOOR:.0e}"
+            f"{gram.min_eig(G) + lam:.3e} <= {PD_FLOOR:.0e}"
         )
     return z
 
 
-def _guarded_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """np.linalg.solve(A, rhs) if A - PD_FLOOR I has a Cholesky factor, the
-    guard for lambda_min(A) > PD_FLOOR (safely positive definite); else None."""
-    shifted = A.copy()
-    shifted.flat[:: A.shape[0] + 1] -= PD_FLOOR
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return None
-    return np.linalg.solve(A, rhs)
+def _norm(v: np.ndarray) -> float:
+    """sqrt(v . v), np.linalg.norm(v)'s bits; optim calls numpy.linalg for pinv only."""
+    return math.sqrt(float(v.ravel().dot(v.ravel())))
 
 
 def cg_solve(
@@ -207,11 +196,11 @@ def cg_solve(
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
     r = b.copy()
-    bnorm = float(np.linalg.norm(b))
+    rs = float(r @ r)
+    bnorm = math.sqrt(rs)
     if bnorm == 0.0:
         return x, 0, True
     p = r.copy()
-    rs = float(r @ r)
     for it in range(1, max_iters + 1):
         Ap = A @ p
         curv = float(p @ Ap)
@@ -331,25 +320,26 @@ def kfac_step(
 
     W <- W - eta S~^T (S~ S~^T + damping I)^{-1} diag(u - y) X (X^T X)^{-1}
 
-    The input factor X^T X must be invertible (rank-d inputs).  With
-    damping = 0 the unit factor S~ S~^T gets a guarded solve first and is
-    pseudoinverted only when the PD guard fails, so a rank-deficient
-    activation pattern is handled in the least-squares sense.
+    Both factors go through gram.guarded_solve; X^T X failing it (inputs
+    of rank < d) raises RankDeficiencyError.  With damping = 0 the unit
+    factor S~ S~^T is pseudoinverted only when its guard fails, so a
+    rank-deficient activation pattern is handled in the least-squares sense.
     """
-    XtX = ds.X.T @ ds.X
-    if float(np.linalg.eigvalsh(XtX)[0]) <= PD_FLOOR:
-        raise RankDeficiencyError(
-            "input factor X^T X is rank deficient; K-FAC needs rank-d inputs"
-        )
     u, jv = _evaluated(p, ds, fwd)  # S~ = S diag(jv.scale)
-    A = (jv.S @ jv.S.T) / p.m  # S~ S~^T, from exact float64 counts
+    A = gram.pre_activation_gram(jv.S)  # S~ S~^T, from exact counts
     scaled = (u - ds.y)[:, None] * ds.X  # diag(rho) X, n x d
     damped, lam = _damped(A, damping)
     if lam > 0.0:
         middle = _solve_gram(damped, scaled, 0.0, "unit factor")  # already damped
-    elif (middle := _guarded_solve(A, scaled)) is None:  # rank-deficient pattern
+    elif (middle := gram.guarded_solve(A, scaled)) is None:  # rank-deficient pattern
         middle = np.linalg.pinv(A, hermitian=True) @ scaled  # least squares
-    update = np.linalg.solve(XtX, middle.T) @ jv.S  # (X^T X)^-1 middle^T S, d x m
+    XtX = ds.X.T @ ds.X
+    if (inner := gram.guarded_solve(XtX, middle.T)) is None:  # (X^T X)^-1 middle^T
+        raise RankDeficiencyError(
+            "input factor X^T X is rank deficient; K-FAC needs rank-d inputs "
+            f"(lambda_min = {gram.min_eig(XtX):.3e} <= {PD_FLOOR:.0e})"
+        )
+    update = inner @ jv.S  # (X^T X)^-1 middle^T S, d x m
     update *= jv.scale  # in place: S~^T middle (X^T X)^-1, transposed
     return _updated(p, eta, update.T)
 
@@ -452,7 +442,7 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         )
 
     u, S = network.forward(p, ds.X)  # outputs and pattern at the current iterate
-    r0 = float(np.linalg.norm(u - ds.y))
+    r0 = _norm(u - ds.y)
     factor = predicted_factor(cfg, ds)
     if cfg.track_lambda_min or cfg.track_jacobian_drift:
         XXt = ds.X @ ds.X.T
@@ -490,12 +480,12 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         lam_min = None
         jac_drift = None
         if cfg.track_lambda_min:
-            lam_min = float(np.linalg.eigvalsh(gram.pattern_gram(XXt, S))[0])
+            lam_min = gram.min_eig(gram.pattern_gram(XXt, S))
         if cfg.track_jacobian_drift:
             jac_drift = gram.jacobian_drift(XXt, S, S0)
 
         diff = current.w - current.w0
-        weight_drift = float(np.linalg.norm(diff))
+        weight_drift = _norm(diff)
         np.multiply(diff, diff, out=diff)  # in place: squared drift per entry
         unit_drift = math.sqrt(float(np.max(np.add.reduce(diff, axis=1))))
         if cfg.loss.value is not None:
@@ -505,7 +495,7 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         bound = factor**k * r0**2 if not math.isnan(factor) else math.nan
         rec = StepRecord(
             k=k,
-            residual_norm=float(np.linalg.norm(u - ds.y)),
+            residual_norm=_norm(u - ds.y),
             loss=loss_val,
             weight_drift=weight_drift,
             per_unit_max_drift=unit_drift,

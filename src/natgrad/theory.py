@@ -219,9 +219,10 @@ def generalization_bound(
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     Ginf = gram.limiting_gram(ds)
-    if gram.min_eig(Ginf) <= PD_FLOOR:
-        raise SingularMatrixError("limiting Gram is numerically singular")
-    quad = math.sqrt(2.0 * float(ds.y @ np.linalg.solve(Ginf, ds.y)) / ds.n)
+    if (z := gram.guarded_solve(Ginf, ds.y)) is None:
+        detail = f"lambda_min = {gram.min_eig(Ginf):.3e} <= {PD_FLOOR:.0e}"
+        raise SingularMatrixError(f"limiting Gram is numerically singular: {detail}")
+    quad = math.sqrt(2.0 * float(ds.y @ z) / ds.n)
     conf = 3.0 * math.sqrt(math.log(6.0 / delta) / (2.0 * ds.n))
     return GenBoundReport(
         quad_term=quad,

@@ -57,6 +57,34 @@ def test_pre_activation_gram_is_float64_count_product(ds):
     assert np.array_equal(pre_activation_gram(S), (S @ S.T) / 1000)
 
 
+def test_pattern_gram_in_place_matches_out_of_place_product(ds):
+    # scaling the counts in place gives the bits of XXt * ((S S^T) / m),
+    # for a 0/1 pattern and for a {-1, 0, 1} difference of patterns,
+    # and leaves X X^T as it was
+    XXt = ds.X @ ds.X.T
+    before = XXt.copy()
+    S = activation_pattern(init_network(1000, 4, nu=1.0, seed=1), ds.X)
+    S0 = activation_pattern(init_network(1000, 4, nu=1.0, seed=2), ds.X)
+    for P in (S, S - S0):
+        assert np.array_equal(gram.pattern_gram(XXt, P), XXt * ((P @ P.T) / 1000))
+    assert np.array_equal(XXt, before)
+
+
+def test_guarded_solve_is_the_direct_solve_behind_a_cholesky_guard():
+    # lambda_min > PD_FLOOR: np.linalg.solve's bits; lambda_min at or
+    # below the floor, or indefinite: None.  A is never written.
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((6, 6))
+    A = B @ B.T + np.eye(6)
+    rhs = rng.standard_normal((6, 2))
+    before = A.copy()
+    assert np.array_equal(gram.guarded_solve(A, rhs), np.linalg.solve(A, rhs))
+    assert np.array_equal(A, before)
+    assert gram.guarded_solve(np.diag([1.0, 2.0 * gram.PD_FLOOR]), np.ones(2)) is not None
+    for lam in (gram.PD_FLOOR / 2, 0.0, -1.0):
+        assert gram.guarded_solve(np.diag([1.0, lam]), np.ones(2)) is None
+
+
 @pytest.mark.parametrize("m", [8, 1000, 32768])
 def test_jacobian_drift_is_exactly_zero_without_flips(ds, m):
     p = init_network(m, 4, nu=1.0, seed=2)

@@ -2,11 +2,12 @@
 
 Modules may import only modules earlier in ORDER, which refines
 data -> network -> gram -> {theory, optim, linearized} -> cli.  No module
-reaches into another's private names, PD_FLOOR is defined once, the
-activation tie rule is written once for network weights, and the Jacobian
-is never made dense nor the Gram wrapped in a class.  Only data spells
-artifact values: optim and cli call no repr.  Every third-party module
-the tests import is declared in pyproject.toml.
+reaches into another's private names, PD_FLOOR is defined once and the
+PD guard written once (in gram), the activation tie rule is written once
+for network weights, and the Jacobian is never made dense nor the Gram
+wrapped in a class.  Only data spells artifact values: optim and cli call
+no repr.  Every third-party module the tests import is declared in
+pyproject.toml.
 """
 import ast
 import re
@@ -93,6 +94,37 @@ def test_pd_floor_defined_once():
         if isinstance(target, ast.Name) and target.id == "PD_FLOOR"
     ]
     assert defined == ["gram"]
+
+
+def linalg_call_names(name):
+    """The f of each np.linalg.f(...) or numpy.linalg.f(...) call in a module."""
+    return [
+        node.func.attr
+        for node in ast.walk(parse(name))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and ast.unparse(node.func.value) in ("np.linalg", "numpy.linalg")
+    ]
+
+
+def test_pd_guard_written_once():
+    """np.linalg.cholesky and np.linalg.solve are called in gram only (its
+    guarded_solve), and optim calls no numpy.linalg function but pinv, its
+    least-squares fallback.  No module imports from numpy.linalg, so every
+    call is spelled np.linalg.f and the scan sees it."""
+    for name in ORDER:
+        for node in ast.walk(parse(name)):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "numpy.linalg", name
+            elif isinstance(node, ast.Import):
+                assert "numpy.linalg" not in {alias.name for alias in node.names}, name
+    guards = {
+        name: sorted(set(linalg_call_names(name)) & {"cholesky", "solve"}) for name in ORDER
+    }
+    assert {name: found for name, found in guards.items() if found} == {
+        "gram": ["cholesky", "solve"]
+    }
+    assert set(linalg_call_names("optim")) == {"pinv"}
 
 
 def test_tie_rule_written_once():

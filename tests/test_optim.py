@@ -255,27 +255,28 @@ def linalg_calls(monkeypatch, *names):
 
 
 def test_kfac_solves_a_well_conditioned_unit_factor(monkeypatch):
-    # damping = 0 on a positive definite unit factor: one Cholesky guard,
-    # a direct solve, no pseudoinverse
+    # damping = 0 on a positive definite unit factor: one Cholesky guard on
+    # each factor (the 8 x 8 unit factor, then the 3 x 3 input factor),
+    # direct solves, no eigvalsh and no pseudoinverse
     ds = synth_sphere(8, 3, seed=0)
     p = init_network(64, 3, nu=1.0, seed=1)
     S = (ds.X @ p.w.T >= 0.0).astype(float)
     assert np.linalg.eigvalsh(S @ S.T / p.m)[0] > 1e-3
-    calls = linalg_calls(monkeypatch, "pinv", "cholesky")
+    calls = linalg_calls(monkeypatch, "pinv", "cholesky", "eigvalsh")
     kfac_step(p, ds, eta=0.5, damping=0.0)
-    assert calls == {"pinv": [], "cholesky": [(8, 8)]}
+    assert calls == {"pinv": [], "cholesky": [(8, 8), (3, 3)], "eigvalsh": []}
 
 
 def test_kfac_singular_unit_factor_falls_back_to_least_squares(monkeypatch):
     # m < n makes S S^T / m singular: the guard fails, the step takes the
-    # pseudoinverse without an eigvalsh of the unit factor (the one
-    # eigvalsh is the d x d input factor's rank check) and keeps the
-    # least-squares meaning of the kron oracle
+    # pseudoinverse without an eigvalsh of the unit factor, the input
+    # factor passes its own guard, and the step keeps the least-squares
+    # meaning of the kron oracle
     ds = synth_sphere(8, 3, seed=1)
     p = init_network(4, 3, nu=1.0, seed=2)
     calls = linalg_calls(monkeypatch, "pinv", "cholesky", "eigvalsh")
     stepped = kfac_step(p, ds, eta=0.4, damping=0.0)
-    assert calls == {"pinv": [(8, 8)], "cholesky": [(8, 8)], "eigvalsh": [(3, 3)]}
+    assert calls == {"pinv": [(8, 8)], "cholesky": [(8, 8), (3, 3)], "eigvalsh": []}
     monkeypatch.undo()
     expected = oracles.kfac_step_kron(p.w, p.a, ds.X, ds.y, eta=0.4)
     assert np.linalg.norm(stepped.w - expected) <= 1e-10 * np.linalg.norm(expected - p.w)

@@ -206,7 +206,7 @@ def _limiting(ds):
 def test_generalization_bound_rejects_degenerate_data():
     X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     ds = Dataset(X, np.ones(3))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match=r"lambda_min"):
         generalization_bound(ds)
     good = synth_sphere(8, 4, seed=0)
     with pytest.raises(ValueError, match="delta"):
