@@ -15,7 +15,7 @@ eta, steps = 0.5, 14
 
 lam0 = ng.min_eig(ng.finite_gram(ng.jacobian(params, ds.X)))
 print(f"lambda_min(G(0)) = {lam0:.4f}")
-report = ng.check_conditions(params, params, ds)
+report = ng.check_conditions(params, ds)
 print(f"conditions at init: C = {report.C_estimate:.3f}, "
       f"eta_max = {report.max_eta_ngd:.3f}\n")
 

@@ -32,10 +32,10 @@ from .gram import (
     finite_gram,
     hadamard_bounds,
     limiting_gram,
-    max_eig,
     mc_limiting_gram,
     min_eig,
     pre_activation_gram,
+    spectrum,
 )
 from .linearized import (
     LinearizedModel,
@@ -122,7 +122,6 @@ __all__ = [
     "load_csv",
     "load_params",
     "logcosh_loss",
-    "max_eig",
     "mc_limiting_gram",
     "min_eig",
     "ngd_cg_step",
@@ -137,6 +136,7 @@ __all__ = [
     "rate_predictor",
     "save_csv",
     "save_params",
+    "spectrum",
     "squared_loss",
     "synth_sphere",
     "t_infinity",

@@ -350,6 +350,19 @@ def _cell_name(cell: dict) -> str:
     return "__".join(f"{k}={v}" for k, v in zip(cell, data_mod.cells(cell.values())))
 
 
+def _run_cell(
+    cfg: ExperimentConfig, cell: dict, ds: Dataset
+) -> tuple[optim.ConvergenceTrace, theory.ConditionReport]:
+    """Train one sweep cell from W(0) and check the conditions at its final
+    iterate.  A cell's m and seed replace the model block's, its eta the
+    optimizer's."""
+    ocfg = cfg.optimizer_config
+    if "eta" in cell:
+        ocfg = dataclasses.replace(ocfg, eta=cell["eta"])
+    trace = optim.train(_init_params({**cfg.model, **cell}, ds), ds, ocfg)
+    return trace, theory.check_conditions(trace.final_params, ds, kappa=ocfg.loss.kappa)
+
+
 def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) -> Path:
     """Execute the full pipeline for cfg (including any sweeps) and write
     artifacts into the output directory.  Returns the manifest path."""
@@ -371,16 +384,7 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
     for cell in _sweep_cells(cfg.sweeps):
         name = _cell_name(cell)
         suffix = f"__{name}" if sweeping else ""
-        model = {**cfg.model, **cell}  # a cell's m and seed replace the model block's
-        ocfg = cfg.optimizer_config
-        if "eta" in cell:
-            ocfg = dataclasses.replace(ocfg, eta=cell["eta"])
-
-        params = _init_params(model, ds)
-        trace = optim.train(params, ds, ocfg)
-        report = theory.check_conditions(
-            params, trace.final_params, ds, kappa=ocfg.loss.kappa
-        )
+        trace, report = _run_cell(cfg, cell, ds)
 
         files: dict = {}
         if "csv" in formats:
@@ -399,16 +403,13 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
         files["conditions"] = cname
         artifacts.extend(files.values())
 
+        summary = trace.summary()
         runs.append(
             {
                 "name": name,
-                "eta": ocfg.eta,
-                "m": model["m"],
-                "seed": model["seed"],
-                "method": ocfg.method,
-                "steps": len(trace.records),
-                "initial_residual_norm": trace.initial_residual_norm,
-                "final_residual_norm": trace.final_residual_norm,
+                **summary,
+                "m": trace.final_params.m,
+                "seed": trace.final_params.seed,
                 "condition1_holds": report.condition1_holds,
                 "condition2_holds": report.condition2_holds,
                 "files": files,
@@ -416,8 +417,8 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
         )
         if not quiet:
             print(
-                f"[{name}] method={ocfg.method} eta={ocfg.eta} steps={len(trace.records)} "
-                f"final_residual={trace.final_residual_norm:.6e}"
+                f"[{name}] method={summary['method']} eta={summary['eta']} "
+                f"steps={summary['steps']} final_residual={summary['final_residual_norm']:.6e}"
             )
 
     manifest = {
@@ -527,8 +528,8 @@ def cmd_forster(args) -> int:
 def cmd_gram(args) -> int:
     ds, _ = _dataset_from_args(args, apply_forster=True)
     G = gram_mod.limiting_gram(ds)
-    lam_min = gram_mod.min_eig(G)
-    lam_max = gram_mod.max_eig(G)
+    eigs = gram_mod.spectrum(G)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if args.export:
         _atomic_write_text(Path(args.export), gram_mod.csv_text(G))
     print(
@@ -631,13 +632,11 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     cfg, _ = _apply_overrides(load_config(args.config), args.seed, args.out)
     ds, fr = build_dataset(cfg)
-    ocfg = cfg.optimizer_config
-    params = _init_params(cfg.model, ds)
-    trace = optim.train(params, ds, ocfg)
-    report = theory.check_conditions(params, trace.final_params, ds, kappa=ocfg.loss.kappa)
-    lam0_inf = gram_mod.min_eig(gram_mod.limiting_gram(ds))
+    trace, report = _run_cell(cfg, {}, ds)
+    Ginf = gram_mod.limiting_gram(ds)
+    lam0_inf = gram_mod.min_eig(Ginf)
     try:
-        bound = dataclasses.asdict(theory.generalization_bound(ds))
+        bound = dataclasses.asdict(theory.generalization_bound(Ginf, ds.y))
     except SingularMatrixError as exc:
         bound = {"error": str(exc)}
     overparam = (
@@ -658,11 +657,7 @@ def cmd_verify(args) -> int:
             "note": OVERPARAM_NOTE,
         },
         "trace": {
-            "method": ocfg.method,
-            "eta": ocfg.eta,
-            "steps": len(trace.records),
-            "initial_residual_norm": trace.initial_residual_norm,
-            "final_residual_norm": trace.final_residual_norm,
+            **trace.summary(),
             "steps_to_threshold": trace.steps_to_threshold(COMPARE_THRESHOLD),
             "threshold": COMPARE_THRESHOLD,
         },
@@ -842,12 +837,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="<command>", parser_class=_Parser)
     sub.required = True
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--seed", type=int, metavar="N", help="seed override")
-    common.add_argument("--quiet", action="store_true", help="suppress informational output")
+    # each subcommand takes only the scalar flags its handler reads
+    out, seed, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    out.add_argument("--out", metavar="DIR", help="output directory")
+    seed.add_argument("--seed", type=int, metavar="N", help="seed override")
+    quiet.add_argument("--quiet", action="store_true", help="suppress informational output")
 
-    p = sub.add_parser("gen-data", parents=[common], help="write a synthetic unit-sphere dataset")
+    p = sub.add_parser(
+        "gen-data", parents=[out, seed], help="write a synthetic unit-sphere dataset"
+    )
     p.add_argument("--n", type=int, default=16, help="number of examples")
     p.add_argument("--d", type=int, default=8, help="input dimension")
     p.add_argument(
@@ -872,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "forster", parents=[common, data_source],
+        "forster", parents=[out, quiet, data_source],
         help="transform inputs so X^T X = (n/d) I with unit rows",
     )
     p.add_argument("--tol", type=float, default=forster_mod.DEFAULT_TOL)
@@ -880,18 +878,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forster)
 
     p = sub.add_parser(
-        "gram", parents=[common, data_source],
-        help="print the limiting Gram spectrum of a dataset",
+        "gram", parents=[data_source], help="print the limiting Gram spectrum of a dataset"
     )
     p.add_argument("--export", metavar="PATH", help="also write the Gram matrix as CSV")
     p.set_defaults(func=cmd_gram)
 
-    p = sub.add_parser("train", parents=[common], help="run a training experiment")
+    p = sub.add_parser("train", parents=[out, seed, quiet], help="run a training experiment")
     p.add_argument("--config", metavar="PATH", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
-        "compare", parents=[common],
+        "compare", parents=[out, seed, quiet],
         help="train several configs on shared data and tabulate rates",
     )
     p.add_argument(
@@ -901,14 +898,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
-        "verify", parents=[common],
+        "verify", parents=[out, seed],
         help="print a consolidated condition / bound / rate report",
     )
     p.add_argument("--config", metavar="PATH", required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "linearized", parents=[common],
+        "linearized", parents=[out, seed, quiet],
         help="emit closed-form frozen-Jacobian trajectories as CSV",
     )
     p.add_argument("--config", metavar="PATH", required=True)
@@ -916,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_linearized)
 
     p = sub.add_parser(
-        "report", parents=[common],
+        "report", parents=[out, quiet],
         help="merge a run directory's artifacts into report.json",
     )
     p.set_defaults(func=cmd_report)

@@ -11,8 +11,10 @@ the factored Jacobian: finite_gram is the one J J^T in the package, and
 coactivation forms every count product S S^T (K-FAC's too).  Every
 builder returns the n x n array itself.  guarded_solve is the one PD
 guard and direct solve: the output Gram, both K-FAC factors and G_inf go
-through it.  Spectral helpers include the Hadamard-product eigenvalue
-bounds relating the factors' spectra to the product's.
+through it.  spectrum is the symmetry-checked eigenvalue solve that every
+other module's eigenvalues go through (min_eig reads its bottom end).
+Spectral helpers include the Hadamard-product eigenvalue bounds relating
+the factors' spectra to the product's.
 """
 from __future__ import annotations
 
@@ -146,15 +148,18 @@ def guarded_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(A, rhs)
 
 
+def spectrum(M, name: str = "matrix") -> np.ndarray:
+    """Eigenvalues of a square symmetric matrix, ascending, by a symmetric
+    solver after a symmetry check; raw, not clipped.  One call gives both
+    ends of a spectrum."""
+    M = np.asarray(M, dtype=float)
+    _check_symmetric(M, name)
+    return np.linalg.eigvalsh(M)
+
+
 def min_eig(M: np.ndarray) -> float:
-    """Smallest eigenvalue of a square symmetric matrix by a symmetric
-    solver; raw, not clipped."""
-    return float(_eigvalsh(M)[0])
-
-
-def max_eig(M: np.ndarray) -> float:
-    """Largest eigenvalue of a square symmetric matrix by a symmetric solver."""
-    return float(_eigvalsh(M)[-1])
+    """Smallest eigenvalue of a square symmetric matrix, spectrum(M)[0]."""
+    return float(spectrum(M)[0])
 
 
 def hadamard_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
@@ -166,17 +171,11 @@ def hadamard_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     inputs must be symmetric positive definite.
     """
     for name, M in (("A", A), ("B", B)):
-        lam = _eigvalsh(M, name)  # B's spectrum after the loop
+        lam = spectrum(M, name)  # B's spectrum after the loop
         if lam[0] <= 0:
             raise ValueError(f"{name} is not positive definite (lambda_min = {lam[0]:.3e})")
     diag = np.diag(np.asarray(A, dtype=float))
     return float(diag.min() * lam[0]), float(diag.max() * lam[-1])
-
-
-def _eigvalsh(M, name: str = "matrix") -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    _check_symmetric(M, name)
-    return np.linalg.eigvalsh(M)
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> None:

@@ -24,12 +24,14 @@ ConvergenceTrace: per-step residual norm, loss, weight drift from
 initialization, the predicted geometric bound on the squared residual,
 and optional diagnostics.  It evaluates the network once per iterate:
 the outputs and activation pattern from one network.forward call feed
-that iterate's record and diagnostics and the next step.
+that iterate's record and diagnostics and the next step.  StepRecord's
+fields are the trace columns, and ConvergenceTrace.summary() is the one
+run summary that every report reuses.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -45,18 +47,6 @@ METHODS = ("gd", "ngd_exact", "ngd_cg", "kfac")
 
 EARLY_STOP_RESIDUAL = 1e-12
 AUTO_DAMPING_SCALE = 1e-8
-
-TRACE_COLUMNS = (
-    "k",
-    "residual_norm",
-    "loss",
-    "weight_drift",
-    "per_unit_max_drift",
-    "predicted_bound",
-    "lambda_min_G",
-    "jacobian_drift",
-    "cg_stagnated",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +353,9 @@ class StepRecord:
     cg_stagnated: bool | None = None
 
 
+TRACE_COLUMNS = tuple(f.name for f in fields(StepRecord))
+
+
 @dataclass(frozen=True)
 class ConvergenceTrace:
     """Per-step training record plus the final parameters.
@@ -397,21 +390,22 @@ class ConvergenceTrace:
             ([getattr(rec, name) for name in TRACE_COLUMNS] for rec in self.records),
         )
 
+    def summary(self) -> dict:
+        """The run in brief: method, eta, step count, and the initial and
+        final residual norms."""
+        return {
+            "method": self.method,
+            "eta": self.eta,
+            "steps": len(self.records),
+            "initial_residual_norm": self.initial_residual_norm,
+            "final_residual_norm": self.final_residual_norm,
+        }
+
     def json_dict(self) -> dict:
-        """The trace as a JSON-safe document: a NaN becomes None (null)."""
-        return jsonable(
-            {
-                "method": self.method,
-                "eta": self.eta,
-                "initial_residual_norm": self.initial_residual_norm,
-                "final_residual_norm": self.final_residual_norm,
-                "steps": len(self.records),
-                "records": [
-                    {name: getattr(rec, name) for name in TRACE_COLUMNS}
-                    for rec in self.records
-                ],
-            }
-        )
+        """summary() plus the records, as a JSON-safe document: a NaN
+        becomes None (null)."""
+        records = [{name: getattr(rec, name) for name in TRACE_COLUMNS} for rec in self.records]
+        return jsonable({**self.summary(), "records": records})
 
 
 def predicted_factor(cfg: OptimizerConfig, ds: Dataset) -> float:
@@ -431,7 +425,9 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
 
     The dataset must pass validate() (unit-norm rows, no coincident
     points).  Stops early once the residual norm falls to 1e-12; raises
-    DivergenceError if outputs or weights stop being finite.
+    DivergenceError if outputs or weights stop being finite.  A step's
+    SingularMatrixError or RankDeficiencyError is raised again as its own
+    type with the step in err.step and in the message.
     """
     report = validate(ds)
     if not report.passed:
@@ -467,8 +463,8 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
                     current, ds, cfg.eta, cfg.damping, cfg.cg_iters, cfg.cg_tol, cfg.loss, fwd
                 )
                 stagnated = not converged
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"training failed at step {k}: {exc}", step=k) from exc
+        except (SingularMatrixError, RankDeficiencyError) as exc:
+            raise type(exc)(f"training failed at step {k}: {exc}", step=k) from exc
 
         fwd = S = None  # an n x m array; drop it before forward forms the next
         u, S = network.forward(current, ds.X)

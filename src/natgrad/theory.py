@@ -38,8 +38,8 @@ from .network import NetworkParams
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Evaluation of the convergence conditions at a pair of parameter
-    states (initial and current)."""
+    """Evaluation of the convergence conditions at a parameter state,
+    measured against its initialization w0."""
 
     lambda_min_G0: float
     radius: float
@@ -62,27 +62,22 @@ def ngd_max_eta(C: float) -> float:
     return (1.0 - 2.0 * C) / (1.0 + C) ** 2
 
 
-def check_conditions(
-    p: NetworkParams,
-    p_current: NetworkParams,
-    ds: Dataset,
-    kappa: float = 1.0,
-) -> ConditionReport:
-    """Check both convergence conditions for the pair (p, p_current).
+def check_conditions(p: NetworkParams, ds: Dataset, kappa: float = 1.0) -> ConditionReport:
+    """Check both convergence conditions at p, measured from its initialization.
 
-    p plays the role of the initialization; p_current is any later state.
-    A singular initial Gram does not raise: condition 1 is reported as
+    G(0), u(0) and the reference pattern S(0) are evaluated at the stored
+    snapshot p.w0, the rule train()'s drift diagnostic uses; condition 2
+    also asks that ||p.w - p.w0|| stay within the radius they set.  A
+    singular initial Gram does not raise: condition 1 is reported as
     failed and the quantities that divide by sqrt(lambda_0) come back NaN.
     """
-    if p.m != p_current.m or p.d != p_current.d or not np.array_equal(p.a, p_current.a):
-        raise ValueError("parameter states must share width, input dim, and output signs")
     if kappa < 1.0:
         raise ValueError(f"kappa = L/mu must be >= 1, got {kappa}")
 
     XXt = ds.X @ ds.X.T
-    u0, S0 = network.forward(p, ds.X)
+    u0, S0 = network.forward(p.with_weights(p.w0), ds.X)
     lam0 = gram.min_eig(gram.pattern_gram(XXt, S0))
-    drift = gram.jacobian_drift(XXt, network.activation_pattern(p_current, ds.X), S0)
+    drift = gram.jacobian_drift(XXt, network.activation_pattern(p, ds.X), S0)
 
     if lam0 <= PD_FLOOR:
         return ConditionReport(
@@ -103,7 +98,7 @@ def check_conditions(
     radius = 3.0 * r0 / sqrt_lam0
     # condition 2 asks for both a small drift constant and the iterate
     # actually sitting inside the ball where that constant was measured
-    in_ball = float(np.linalg.norm(p_current.w - p.w)) <= radius
+    in_ball = float(np.linalg.norm(p.w - p.w0)) <= radius
     return ConditionReport(
         lambda_min_G0=lam0,
         radius=radius,
@@ -154,7 +149,7 @@ def rate_predictor(
     elif method == "kfac":
         if ds is None:
             raise ValueError("kfac rate needs ds")
-        eigs = np.linalg.eigvalsh(ds.X.T @ ds.X)
+        eigs = gram.spectrum(ds.X.T @ ds.X)
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
         if lam_max <= 0:
             raise ValueError(f"lambda_max(X^T X) must be positive, got {lam_max}")
@@ -206,24 +201,28 @@ class GenBoundReport:
 
 
 def generalization_bound(
-    ds: Dataset, delta: float = 0.1, epsilon: float = 0.1
+    Ginf: np.ndarray, y: np.ndarray, delta: float = 0.1, epsilon: float = 0.1
 ) -> GenBoundReport:
     """Population-loss bound sqrt(2 y^T (G_inf)^{-1} y / n)
     + 3 sqrt(log(6/delta) / (2n)) + epsilon.
 
-    The quadratic term is the data-dependent complexity of interpolating
-    y with the limiting kernel; the second is the usual confidence term.
+    Ginf is the limiting Gram of the n inputs (gram.limiting_gram) and y
+    their targets.  The quadratic term is the data-dependent complexity of
+    interpolating y with the limiting kernel; the second is the usual
+    confidence term.
     """
+    n = y.shape[0]
+    if Ginf.shape != (n, n):
+        raise ValueError(f"Ginf has shape {Ginf.shape}, expected ({n}, {n}) for {n} targets")
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    Ginf = gram.limiting_gram(ds)
-    if (z := gram.guarded_solve(Ginf, ds.y)) is None:
+    if (z := gram.guarded_solve(Ginf, y)) is None:
         detail = f"lambda_min = {gram.min_eig(Ginf):.3e} <= {PD_FLOOR:.0e}"
         raise SingularMatrixError(f"limiting Gram is numerically singular: {detail}")
-    quad = math.sqrt(2.0 * float(ds.y @ z) / ds.n)
-    conf = 3.0 * math.sqrt(math.log(6.0 / delta) / (2.0 * ds.n))
+    quad = math.sqrt(2.0 * float(y @ z) / n)
+    conf = 3.0 * math.sqrt(math.log(6.0 / delta) / (2.0 * n))
     return GenBoundReport(
         quad_term=quad,
         conf_term=conf,

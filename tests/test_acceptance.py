@@ -282,8 +282,9 @@ def test_criterion_14_limit_point_equality():
 def test_criterion_15_generalization_arithmetic():
     name = "generalization quad term exact on orthonormal pair"
     ds = ng.Dataset(np.eye(2), np.array([1.0, 1.0]))
-    rep = ng.generalization_bound(ds)
-    zero = ng.generalization_bound(ng.Dataset(np.eye(2), np.zeros(2)))
+    Ginf = ng.limiting_gram(ds)
+    rep = ng.generalization_bound(Ginf, ds.y)
+    zero = ng.generalization_bound(Ginf, np.zeros(2))
     ok = rep.quad_term == 2.0 and zero.quad_term == 0.0
     assert record_criterion(15, name, ok), (
         f"quad terms {rep.quad_term!r}, {zero.quad_term!r}"

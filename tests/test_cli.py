@@ -54,6 +54,33 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("gram", "--out"), ("gram", "--seed"), ("gram", "--quiet"),
+        ("forster", "--seed"), ("report", "--seed"),
+        ("gen-data", "--quiet"), ("verify", "--quiet"),
+    ],
+)
+def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, command, flag):
+    # each invocation is valid without the flag; a flag its handler never
+    # reads is a usage error rather than silently dropped
+    run_dir = tmp_path / "run"
+    cfgp = write_config(tmp_path, base_config(run_dir))
+    argv = {
+        "gram": ["--config", cfgp],
+        "forster": ["--config", cfgp, "--out", str(tmp_path / "f")],
+        "report": ["--out", str(run_dir)],
+        "gen-data": ["--out", str(tmp_path / "g")],
+        "verify": ["--config", cfgp],
+    }[command]
+    if command == "report":
+        assert main(["train", "--config", cfgp, "--quiet"]) == 0
+    extra = [flag] if flag == "--quiet" else [flag, str(tmp_path / "x") if flag == "--out" else "1"]
+    assert main([command, *argv, *extra]) == 1
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -220,6 +247,14 @@ def test_train_singular_gram_exits_two(tmp_path, capsys):
     cfg["model"] = {"m": 4, "nu": 1.0, "seed": 26}  # m d = 8 < n = 12
     assert main(["train", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
     assert "at step 1: output Gram is numerically singular" in capsys.readouterr().err
+
+
+def test_train_kfac_rank_deficient_inputs_exit_two(tmp_path, capsys):
+    cfg = base_config(tmp_path / "run")
+    cfg["data"]["synth"] = {"n": 4, "d": 6, "seed": 0}  # rank(X) = 4 < d = 6
+    cfg["optimizer"] = {"method": "kfac", "eta": 0.5, "max_steps": 3}
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
+    assert "at step 1: input factor X^T X is rank deficient" in capsys.readouterr().err
 
 
 def test_train_rerun_is_byte_identical(tmp_path, capsys):

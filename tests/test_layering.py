@@ -127,6 +127,13 @@ def test_pd_guard_written_once():
     assert set(linalg_call_names("optim")) == {"pinv"}
 
 
+def test_eigenvalue_solve_in_gram_only():
+    """np.linalg.eigvalsh is called in gram only: other modules take a
+    spectrum from gram.spectrum (or gram.min_eig), which checks symmetry."""
+    found = [name for name in ORDER if "eigvalsh" in linalg_call_names(name)]
+    assert found == ["gram"]
+
+
 def test_tie_rule_written_once():
     """The activation rule z >= 0.0, written as a comparison or as
     np.greater_equal(z, 0.0), appears in network._active for network

@@ -461,6 +461,16 @@ def test_train_singular_gram_reports_step():
     assert err.value.step == 1
 
 
+@pytest.mark.filterwarnings("ignore:eta = 0.5 exceeds lambda_min")  # rate_predictor's, on rank < d
+def test_train_kfac_rank_error_reports_step():
+    ds = synth_sphere(4, 6, seed=0)  # rank(X) = 4 < d = 6
+    p = init_network(8, 6, nu=1.0, seed=0)
+    cfg = OptimizerConfig(method="kfac", eta=0.5, max_steps=3)
+    with pytest.raises(RankDeficiencyError, match=r"at step 1: input factor") as err:
+        train(p, ds, cfg)
+    assert err.value.step == 1
+
+
 def test_train_general_loss_uses_widened_factor():
     ds = synth_sphere(8, 4, seed=7)
     p = init_network(256, 4, nu=1.0, seed=8)
@@ -600,9 +610,13 @@ def test_trace_json_round_trip():
     cfg = OptimizerConfig(method="ngd_cg", eta=0.25, cg_iters=50, max_steps=3)
     trace = train(p, ds, cfg)
     doc = json.loads(json.dumps(trace.json_dict(), sort_keys=True))
-    assert doc["method"] == "ngd_cg"
-    assert doc["eta"] == 0.25
-    assert doc["steps"] == 3
+    summary = {
+        "method": "ngd_cg", "eta": 0.25, "steps": 3,
+        "initial_residual_norm": trace.initial_residual_norm,
+        "final_residual_norm": trace.records[-1].residual_norm,
+    }
+    assert trace.summary() == summary
+    assert {key: doc[key] for key in summary} == summary  # the document's head
     assert len(doc["records"]) == 3
     assert list(doc["records"][0]) == sorted(TRACE_HEADER.split(","))  # the CSV's columns
     assert [rec["k"] for rec in doc["records"]] == [1, 2, 3]

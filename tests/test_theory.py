@@ -13,6 +13,7 @@ from natgrad import (
     generalization_bound,
     init_network,
     lambda0_floor_check,
+    limiting_gram,
     ngd_max_eta,
     overparam_requirement,
     rate_predictor,
@@ -77,7 +78,7 @@ def test_rate_predictor_unknown_method():
 def test_conditions_at_initialization():
     ds = synth_sphere(12, 6, seed=0)
     p = init_network(1024, 6, nu=1.0, seed=1)
-    rep = check_conditions(p, p, ds)
+    rep = check_conditions(p, ds)
     assert rep.condition1_holds
     assert rep.condition2_holds
     assert rep.jacobian_drift == 0.0
@@ -87,7 +88,7 @@ def test_conditions_at_initialization():
     assert rep.radius > 0
     # kappa = 1 collapses the widened radius onto the squared-loss one
     assert rep.general_loss_radius == pytest.approx(rep.radius)
-    wide = check_conditions(p, p, ds, kappa=3.0)
+    wide = check_conditions(p, ds, kappa=3.0)
     assert wide.general_loss_radius == pytest.approx(2.0 * rep.radius)
 
 
@@ -101,11 +102,11 @@ def test_condition2_requires_staying_in_ball():
     a = np.array([1.0, -1.0] * (m // 2))  # signs cancel: u0 = 0
     p = NetworkParams(w=w, a=a, nu=1.0, w0=w.copy())
     ds = Dataset(X, np.array([1.0, -1.0]))
-    rep0 = check_conditions(p, p, ds)
+    rep0 = check_conditions(p, ds)
     assert rep0.condition2_holds
 
     far = p.with_weights(p.w + np.array([0.0, 100.0]))  # z stays positive
-    rep = check_conditions(p, far, ds)
+    rep = check_conditions(far, ds)
     assert rep.jacobian_drift == 0.0
     assert rep.C_estimate == 0.0
     assert np.linalg.norm(far.w - p.w) > rep.radius
@@ -122,7 +123,7 @@ def test_condition2_fails_under_large_drift():
     p = NetworkParams(w=w, a=a, nu=1.0, w0=w.copy())
     ds = Dataset(X, np.array([1.0, -1.0]))
     flipped = p.with_weights(-p.w)
-    rep = check_conditions(p, flipped, ds)
+    rep = check_conditions(flipped, ds)
     assert rep.lambda_min_G0 == pytest.approx(1.0)
     assert rep.jacobian_drift == pytest.approx(1.0)
     assert rep.C_estimate == pytest.approx(3.0)
@@ -143,7 +144,7 @@ def test_jacobian_drift_matches_dense_norm():
     w2[0] = [-1.0, 1.0]  # unit 0 now inactive on x_0, still active on x_1
     moved = NetworkParams(w=w2, a=a, nu=1.0, w0=w.copy())
     ds = Dataset(X, np.ones(2))
-    rep = check_conditions(p, moved, ds)
+    rep = check_conditions(moved, ds)
     assert rep.jacobian_drift == pytest.approx(1.0 / np.sqrt(m), abs=1e-12)
     J0 = oracles.dense_jacobian_loops(p.w, a, X)
     J1 = oracles.dense_jacobian_loops(moved.w, a, X)
@@ -154,7 +155,7 @@ def test_conditions_singular_gram_sentinel():
     X = np.array([[1.0, 0.0], [1.0, 0.0]])  # coincident inputs
     ds = Dataset(X, np.array([1.0, 1.0]))
     p = init_network(16, 2, nu=1.0, seed=0)
-    rep = check_conditions(p, p, ds)
+    rep = check_conditions(p, ds)
     assert not rep.condition1_holds
     assert not rep.condition2_holds
     assert math.isnan(rep.radius)
@@ -166,14 +167,8 @@ def test_conditions_singular_gram_sentinel():
 def test_conditions_input_checks():
     ds = synth_sphere(4, 3, seed=0)
     p = init_network(8, 3, nu=1.0, seed=0)
-    other = init_network(10, 3, nu=1.0, seed=0)
-    with pytest.raises(ValueError, match="share"):
-        check_conditions(p, other, ds)
-    resigned = NetworkParams(w=p.w, a=-p.a, nu=p.nu, w0=p.w0)
-    with pytest.raises(ValueError, match="share"):
-        check_conditions(p, resigned, ds)
     with pytest.raises(ValueError, match="kappa"):
-        check_conditions(p, p, ds, kappa=0.5)
+        check_conditions(p, ds, kappa=0.5)
 
 
 def test_floor_check_always_fails_the_claimed_bound():
@@ -189,7 +184,7 @@ def test_floor_check_always_fails_the_claimed_bound():
 
 def test_generalization_bound_terms():
     ds = synth_sphere(32, 8, seed=0)
-    rep = generalization_bound(ds, delta=0.1, epsilon=0.05)
+    rep = generalization_bound(limiting_gram(ds), ds.y, delta=0.1, epsilon=0.05)
     quad = math.sqrt(2.0 * float(ds.y @ np.linalg.inv(_limiting(ds)) @ ds.y) / ds.n)
     assert rep.quad_term == pytest.approx(quad, rel=1e-10)
     assert rep.conf_term == pytest.approx(3.0 * math.sqrt(math.log(60.0) / 64.0))
@@ -207,12 +202,15 @@ def test_generalization_bound_rejects_degenerate_data():
     X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     ds = Dataset(X, np.ones(3))
     with pytest.raises(SingularMatrixError, match=r"lambda_min"):
-        generalization_bound(ds)
+        generalization_bound(limiting_gram(ds), ds.y)
     good = synth_sphere(8, 4, seed=0)
+    Ginf = limiting_gram(good)
     with pytest.raises(ValueError, match="delta"):
-        generalization_bound(good, delta=0.0)
+        generalization_bound(Ginf, good.y, delta=0.0)
     with pytest.raises(ValueError, match="epsilon"):
-        generalization_bound(good, epsilon=-0.1)
+        generalization_bound(Ginf, good.y, epsilon=-0.1)
+    with pytest.raises(ValueError, match="shape"):
+        generalization_bound(Ginf, good.y[:4])
 
 
 def test_overparam_requirement_closed_form():
