@@ -18,7 +18,8 @@ and every override is recorded in the manifest.  Identical configuration produce
 byte-identical artifacts; the only timestamp lives in manifest.json.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-failure, 3 I/O or file-format error.
+failure, 3 I/O or file-format error.  train runs every cell before it
+writes a file, so a failed run leaves its output directory as it found it.
 """
 from __future__ import annotations
 
@@ -335,8 +336,6 @@ def _forster_sidecar(result: forster_mod.ForsterResult) -> dict:
 
 def _sweep_cells(sweeps: dict) -> list[dict]:
     keys = [k for k in SWEEPS if k in sweeps]
-    if not keys:
-        return [{}]
     return [
         dict(zip(keys, combo))
         for combo in itertools.product(*(sweeps[k] for k in keys))
@@ -368,7 +367,10 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
     artifacts into the output directory.  Returns the manifest path."""
     if cfg.output["dir"] is None:
         raise ConfigError("config.output.dir: required (or pass --out)")
-    ds, fr = build_dataset(cfg)  # a malformed dataset exits before any directory is made
+    ds, fr = build_dataset(cfg)
+    # every cell trains before the directory is made, so a malformed dataset
+    # or a failed cell leaves no file behind and no earlier run half-replaced
+    results = [(cell, *_run_cell(cfg, cell, ds)) for cell in _sweep_cells(cfg.sweeps)]
     out_dir = Path(cfg.output["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
@@ -381,11 +383,9 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
     sweeping = bool(cfg.sweeps)
     formats = cfg.output["formats"]
     runs = []
-    for cell in _sweep_cells(cfg.sweeps):
+    for cell, trace, report in results:
         name = _cell_name(cell)
         suffix = f"__{name}" if sweeping else ""
-        trace, report = _run_cell(cfg, cell, ds)
-
         files: dict = {}
         if "csv" in formats:
             fname = f"trace{suffix}.csv"
@@ -488,24 +488,20 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _dataset_from_args(args, apply_forster: bool) -> tuple[Dataset, ExperimentConfig | None]:
+def _dataset_from_args(args, apply_forster: bool) -> Dataset:
     if bool(args.config) == bool(args.data):
         raise ConfigError("exactly one of --config or --data is required")
     if args.config:
-        cfg = load_config(args.config)
-        ds, _ = build_dataset(cfg, apply_forster=apply_forster)
-        return ds, cfg
-    ds = data_mod.load_csv(
-        args.data, label_column=args.label_column, normalize=args.normalize
-    )
-    return ds, None
+        ds, _ = build_dataset(load_config(args.config), apply_forster=apply_forster)
+        return ds
+    return data_mod.load_csv(args.data, label_column=args.label_column, normalize=args.normalize)
 
 
 def cmd_forster(args) -> int:
     if not args.out:
         print("natgrad forster: --out is required", file=sys.stderr)
         return 1
-    ds, _ = _dataset_from_args(args, apply_forster=False)
+    ds = _dataset_from_args(args, apply_forster=False)
     result = forster_mod.forster_transform(ds.X, tol=args.tol, max_iter=args.max_iter)
     transformed = Dataset(result.Z, ds.y)
     out_dir = Path(args.out)
@@ -526,7 +522,7 @@ def cmd_forster(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    ds, _ = _dataset_from_args(args, apply_forster=True)
+    ds = _dataset_from_args(args, apply_forster=True)
     G = gram_mod.limiting_gram(ds)
     eigs = gram_mod.spectrum(G)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])

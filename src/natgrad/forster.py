@@ -85,13 +85,14 @@ def forster_transform(
     errors = []
     rescale_skipped = False
     for iteration in range(max_iter + 1):
-        err = float(np.linalg.norm(Z.T @ Z - target, "fro"))
+        ZtZ = Z.T @ Z
+        err = float(np.linalg.norm(ZtZ - target, "fro"))
         errors.append(err)
         if err <= tol:
             return ForsterResult(A, Z, iteration, err, np.array(errors), rescale_skipped)
         if iteration == max_iter:
             break
-        T = inverse_sqrt_psd(Z.T @ Z)
+        T = inverse_sqrt_psd(ZtZ)
         Z = normalize_rows(Z @ T)
         A = A @ T
         if abs(A[0, 0]) >= EIG_FLOOR:

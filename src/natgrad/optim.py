@@ -415,8 +415,6 @@ def predicted_factor(cfg: OptimizerConfig, ds: Dataset) -> float:
         return math.nan
     if cfg.method == "kfac":
         return rate_predictor("kfac", cfg.eta, ds=ds)
-    if cfg.loss.kind == "squared":
-        return rate_predictor("ngd", cfg.eta)
     return rate_predictor("general", cfg.eta, mu=cfg.loss.mu, L=cfg.loss.L)
 
 
@@ -488,14 +486,13 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
             loss_val = float(np.mean(cfg.loss.value(u, ds.y)))
         else:
             loss_val = math.nan
-        bound = factor**k * r0**2 if not math.isnan(factor) else math.nan
         rec = StepRecord(
             k=k,
             residual_norm=_norm(u - ds.y),
             loss=loss_val,
             weight_drift=weight_drift,
             per_unit_max_drift=unit_drift,
-            predicted_bound=bound,
+            predicted_bound=factor**k * r0**2,
             lambda_min_G=lam_min,
             jacobian_drift=jac_drift,
             cg_stagnated=stagnated,

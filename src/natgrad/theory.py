@@ -10,10 +10,11 @@ rests on two conditions:
      long as C < 1/2, with admissible step sizes up to
      (1 - 2C) / (1 + C)^2.
 
-Under both, the squared residual decays at least as fast as (1 - eta)^k.
-For a mu-strongly convex loss with L-Lipschitz gradient the factor
-becomes 1 - 2 eta mu L / (mu + L) for eta <= 2 / (mu + L), and the weight
-trajectory stays within a radius widened by (1 + kappa) / 2, kappa = L/mu.
+For a mu-strongly convex loss with L-Lipschitz gradient, under both the
+squared residual decays at least by the factor 1 - 2 eta mu L / (mu + L)
+per step for eta <= 2 / (mu + L), and the weight trajectory stays within
+a radius widened by (1 + kappa) / 2, kappa = L/mu.  The squared loss is
+the case mu = L = 1: the factor 1 - eta for eta <= 1.
 
 Also here: the width requirement m = n^4 / (nu^2 lambda_0^4 delta^3) for
 the conditions to hold with probability 1 - delta, a generalization bound
@@ -57,9 +58,7 @@ def ngd_max_eta(C: float) -> float:
     the drift constant C reaches 1/2."""
     if not (np.isfinite(C) and C >= 0):
         raise ValueError(f"C must be finite and >= 0, got {C}")
-    if C >= 0.5:
-        return 0.0
-    return (1.0 - 2.0 * C) / (1.0 + C) ** 2
+    return max(0.0, (1.0 - 2.0 * C) / (1.0 + C) ** 2)
 
 
 def check_conditions(p: NetworkParams, ds: Dataset, kappa: float = 1.0) -> ConditionReport:
@@ -69,7 +68,8 @@ def check_conditions(p: NetworkParams, ds: Dataset, kappa: float = 1.0) -> Condi
     snapshot p.w0, the rule train()'s drift diagnostic uses; condition 2
     also asks that ||p.w - p.w0|| stay within the radius they set.  A
     singular initial Gram does not raise: condition 1 is reported as
-    failed and the quantities that divide by sqrt(lambda_0) come back NaN.
+    failed, sqrt(lambda_0) is taken as NaN, and so the drift constant,
+    both radii and max_eta_ngd come back NaN and condition 2 False.
     """
     if kappa < 1.0:
         raise ValueError(f"kappa = L/mu must be >= 1, got {kappa}")
@@ -79,21 +79,9 @@ def check_conditions(p: NetworkParams, ds: Dataset, kappa: float = 1.0) -> Condi
     lam0 = gram.min_eig(gram.pattern_gram(XXt, S0))
     drift = gram.jacobian_drift(XXt, network.activation_pattern(p, ds.X), S0)
 
-    if lam0 <= PD_FLOOR:
-        return ConditionReport(
-            lambda_min_G0=lam0,
-            radius=math.nan,
-            jacobian_drift=drift,
-            C_estimate=math.nan,
-            condition1_holds=False,
-            condition2_holds=False,
-            max_eta_ngd=math.nan,
-            general_loss_radius=math.nan,
-            kappa=kappa,
-        )
-
+    condition1 = lam0 > PD_FLOOR
     r0 = float(np.linalg.norm(ds.y - u0))
-    sqrt_lam0 = math.sqrt(lam0)
+    sqrt_lam0 = math.sqrt(lam0) if condition1 else math.nan
     C = 3.0 * drift / sqrt_lam0
     radius = 3.0 * r0 / sqrt_lam0
     # condition 2 asks for both a small drift constant and the iterate
@@ -104,9 +92,9 @@ def check_conditions(p: NetworkParams, ds: Dataset, kappa: float = 1.0) -> Condi
         radius=radius,
         jacobian_drift=drift,
         C_estimate=C,
-        condition1_holds=True,
+        condition1_holds=condition1,
         condition2_holds=C < 0.5 and in_ball,
-        max_eta_ngd=ngd_max_eta(C),
+        max_eta_ngd=ngd_max_eta(C) if condition1 else math.nan,
         general_loss_radius=3.0 * (1.0 + kappa) * r0 / (2.0 * sqrt_lam0),
         kappa=kappa,
     )
@@ -122,21 +110,21 @@ def rate_predictor(
 ) -> float:
     """Per-step factor for the predicted squared-residual bound, in [0, 1].
 
-    ngd:      1 - eta                      (squared loss; admissible eta <= 1)
     general:  1 - 2 eta mu L / (mu + L)    (admissible eta <= 2 / (mu + L))
+    ngd:      general at mu = L = 1, i.e. 1 - eta (the squared loss)
     kfac:     1 - eta / lambda_max(X^T X)  (admissible eta <= lambda_min(X^T X))
 
-    The kfac factor reads X^T X from ds, which it requires.  Out-of-range
-    step sizes get a warning, and the factor is clipped to [0, 1]; there
+    The kfac factor reads X^T X from ds, which it requires; it warns
+    about eta only when X has full rank, since a singular X^T X is a rank
+    error in kfac_step, not a step-size problem.  Other out-of-range step
+    sizes get a warning too, and the factor is clipped to [0, 1]; there
     is no geometric prediction for plain gradient descent.
     """
     if not (np.isfinite(eta) and eta >= 0):
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if method == "ngd":
-        if eta > 1.0:
-            warnings.warn(f"eta = {eta} exceeds the admissible range (0, 1] for ngd")
-        factor = 1.0 - eta
-    elif method == "general":
+        method, mu, L = "general", 1.0, 1.0
+    if method == "general":
         if mu is None or L is None:
             raise ValueError("general rate needs mu and L")
         if not (0 < mu <= L):
@@ -153,7 +141,7 @@ def rate_predictor(
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
         if lam_max <= 0:
             raise ValueError(f"lambda_max(X^T X) must be positive, got {lam_max}")
-        if eta > lam_min:
+        if PD_FLOOR < lam_min < eta:
             warnings.warn(
                 f"eta = {eta} exceeds lambda_min(X^T X) = {lam_min:.6g}; "
                 "per-example factors may leave [0, 1)"

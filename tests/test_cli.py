@@ -241,20 +241,38 @@ def test_train_writes_complete_artifact_set(tmp_path, capsys):
     }
 
 
+def assert_failed_train_writes_nothing(tmp_path, cfg, capsys) -> str:
+    """Train cfg, which fails numerically, into a fresh directory and over a
+    prior run; return the first failure's stderr."""
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["train", "--config", cfgp, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert not Path(cfg["output"]["dir"]).exists()
+    prior = tmp_path / "prior"
+    assert main(["train", "--config", write_config(tmp_path, base_config(prior), "ok.json"),
+                 "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in prior.iterdir()}
+    assert main(["train", "--config", cfgp, "--out", str(prior), "--quiet"]) == 2
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in prior.iterdir()} == before
+    return err
+
+
 def test_train_singular_gram_exits_two(tmp_path, capsys):
     cfg = base_config(tmp_path / "run")
     cfg["data"]["synth"] = {"n": 12, "d": 2, "seed": 25}
     cfg["model"] = {"m": 4, "nu": 1.0, "seed": 26}  # m d = 8 < n = 12
-    assert main(["train", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
-    assert "at step 1: output Gram is numerically singular" in capsys.readouterr().err
+    err = assert_failed_train_writes_nothing(tmp_path, cfg, capsys)
+    assert "at step 1: output Gram is numerically singular" in err
 
 
 def test_train_kfac_rank_deficient_inputs_exit_two(tmp_path, capsys):
     cfg = base_config(tmp_path / "run")
     cfg["data"]["synth"] = {"n": 4, "d": 6, "seed": 0}  # rank(X) = 4 < d = 6
     cfg["optimizer"] = {"method": "kfac", "eta": 0.5, "max_steps": 3}
-    assert main(["train", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
-    assert "at step 1: input factor X^T X is rank deficient" in capsys.readouterr().err
+    err = assert_failed_train_writes_nothing(tmp_path, cfg, capsys)
+    assert "at step 1: input factor X^T X is rank deficient" in err
+    assert len(err.splitlines()) == 1  # the error alone: no step-size warning
 
 
 def test_train_rerun_is_byte_identical(tmp_path, capsys):

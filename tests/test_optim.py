@@ -461,14 +461,16 @@ def test_train_singular_gram_reports_step():
     assert err.value.step == 1
 
 
-@pytest.mark.filterwarnings("ignore:eta = 0.5 exceeds lambda_min")  # rate_predictor's, on rank < d
 def test_train_kfac_rank_error_reports_step():
     ds = synth_sphere(4, 6, seed=0)  # rank(X) = 4 < d = 6
     p = init_network(8, 6, nu=1.0, seed=0)
     cfg = OptimizerConfig(method="kfac", eta=0.5, max_steps=3)
-    with pytest.raises(RankDeficiencyError, match=r"at step 1: input factor") as err:
-        train(p, ds, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RankDeficiencyError, match=r"at step 1: input factor") as err:
+            train(p, ds, cfg)
     assert err.value.step == 1
+    assert caught == []  # lambda_min(X^T X) ~ 0 is the rank error, not a step-size warning
 
 
 def test_train_general_loss_uses_widened_factor():

@@ -1,5 +1,6 @@
 """Convergence conditions, rate predictions, and sample-size bounds."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ def test_rate_predictor_squared_loss():
         assert rate_predictor("ngd", 1.5) == 0.0  # clipped
     with pytest.raises(ValueError, match="eta"):
         rate_predictor("ngd", -1.0)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 1.0, 1.5])
+def test_rate_predictor_ngd_is_general_at_unit_constants(eta):
+    # the squared loss is the mu = L = 1 case, bound 2/(mu+L) = 1 and warning included
+    with warnings.catch_warnings(record=True) as ngd_warnings:
+        warnings.simplefilter("always")
+        ngd = rate_predictor("ngd", eta)
+    with warnings.catch_warnings(record=True) as general_warnings:
+        warnings.simplefilter("always")
+        general = rate_predictor("general", eta, mu=1.0, L=1.0)
+    assert ngd == general
+    assert [str(w.message) for w in ngd_warnings] == [str(w.message) for w in general_warnings]
+    assert len(ngd_warnings) == (eta > 1.0)
 
 
 def test_rate_predictor_general_loss():
@@ -157,10 +172,11 @@ def test_conditions_singular_gram_sentinel():
     p = init_network(16, 2, nu=1.0, seed=0)
     rep = check_conditions(p, ds)
     assert not rep.condition1_holds
-    assert not rep.condition2_holds
+    assert rep.condition2_holds is False
     assert math.isnan(rep.radius)
     assert math.isnan(rep.C_estimate)
     assert math.isnan(rep.max_eta_ngd)
+    assert math.isnan(rep.general_loss_radius)
     assert rep.jacobian_drift == 0.0
 
 
