@@ -62,7 +62,8 @@ OVERPARAM_NOTE = (
 
 
 class ConfigError(ValueError):
-    """Configuration schema violation; message starts with the field path."""
+    """Configuration or command-line usage error; the message starts with
+    the field path or the subcommand's name."""
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,8 @@ def _dump_json(obj) -> str:
 
 def _atomic_via(writer, path: Path) -> None:
     """Run writer(tmp_path) then rename over path, so readers never see a
-    half-written artifact."""
+    half-written artifact.  Creates path's directory if it is missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     os.close(fd)
     try:
@@ -362,17 +364,16 @@ def _run_cell(
     return trace, theory.check_conditions(trace.final_params, ds, kappa=ocfg.loss.kappa)
 
 
-def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) -> Path:
+def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) -> None:
     """Execute the full pipeline for cfg (including any sweeps) and write
-    artifacts into the output directory.  Returns the manifest path."""
+    artifacts into the output directory."""
     if cfg.output["dir"] is None:
         raise ConfigError("config.output.dir: required (or pass --out)")
     ds, fr = build_dataset(cfg)
-    # every cell trains before the directory is made, so a malformed dataset
-    # or a failed cell leaves no file behind and no earlier run half-replaced
+    # every cell trains before the first write, so a malformed dataset or a
+    # failed cell leaves no file behind and no earlier run half-replaced
     results = [(cell, *_run_cell(cfg, cell, ds)) for cell in _sweep_cells(cfg.sweeps)]
     out_dir = Path(cfg.output["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
     _atomic_via(lambda p: data_mod.save_csv(ds, p), out_dir / "data.csv")
     artifacts.append("data.csv")
@@ -437,11 +438,9 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
         "runs": runs,
         "version": __version__,
     }
-    manifest_path = out_dir / "manifest.json"
-    _atomic_write_text(manifest_path, _dump_json(manifest))
+    _atomic_write_text(out_dir / "manifest.json", _dump_json(manifest))
     if not quiet:
         print(f"wrote {len(manifest['artifacts'])} artifact(s) to {out_dir}")
-    return manifest_path
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +460,12 @@ def _apply_overrides(
     return cfg, overrides
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> None:
     if not args.out:
-        print("natgrad gen-data: --out is required", file=sys.stderr)
-        return 1
+        raise ConfigError("gen-data: --out is required")
     seed = 0 if args.seed is None else args.seed
     ds = data_mod.synth_sphere(args.n, args.d, seed, args.target_model)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "data.csv"
+    path = Path(args.out) / "data.csv"
     _atomic_via(lambda p: data_mod.save_csv(ds, p), path)
     rep = data_mod.validate(ds)
     print(
@@ -485,7 +481,6 @@ def cmd_gen_data(args) -> int:
         ),
         end="",
     )
-    return 0
 
 
 def _dataset_from_args(args, apply_forster: bool) -> Dataset:
@@ -497,15 +492,13 @@ def _dataset_from_args(args, apply_forster: bool) -> Dataset:
     return data_mod.load_csv(args.data, label_column=args.label_column, normalize=args.normalize)
 
 
-def cmd_forster(args) -> int:
+def cmd_forster(args) -> None:
     if not args.out:
-        print("natgrad forster: --out is required", file=sys.stderr)
-        return 1
+        raise ConfigError("forster: --out is required")
     ds = _dataset_from_args(args, apply_forster=False)
     result = forster_mod.forster_transform(ds.X, tol=args.tol, max_iter=args.max_iter)
     transformed = Dataset(result.Z, ds.y)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_via(lambda p: data_mod.save_csv(transformed, p), out_dir / "forster_data.csv")
     _atomic_write_text(out_dir / "forster.json", _dump_json(_forster_sidecar(result)))
     recon = forster_mod.normalize_rows(ds.X @ result.A)
@@ -518,10 +511,9 @@ def cmd_forster(args) -> int:
     }
     if not args.quiet:
         print(_dump_json(summary), end="")
-    return 0
 
 
-def cmd_gram(args) -> int:
+def cmd_gram(args) -> None:
     ds = _dataset_from_args(args, apply_forster=True)
     G = gram_mod.limiting_gram(ds)
     eigs = gram_mod.spectrum(G)
@@ -541,19 +533,16 @@ def cmd_gram(args) -> int:
         ),
         end="",
     )
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     cfg, overrides = _apply_overrides(load_config(args.config), args.seed, args.out)
     run_experiment(cfg, overrides, quiet=args.quiet)
-    return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     if len(args.config) < 2:
-        print("natgrad compare: need at least two --config files", file=sys.stderr)
-        return 1
+        raise ConfigError("compare: need at least two --config files")
     cfgs = []
     for path in args.config:
         cfgs.append(_apply_overrides(load_config(path), args.seed)[0])
@@ -564,12 +553,10 @@ def cmd_compare(args) -> int:
             or cfg.preprocess != ref.preprocess
             or cfg.model["seed"] != ref.model["seed"]
         ):
-            print(
-                f"natgrad compare: config #{i} does not share the data block, "
-                "preprocessing, and model seed with the first config",
-                file=sys.stderr,
+            raise ConfigError(
+                f"compare: config #{i} does not share the data block, "
+                "preprocessing, and model seed with the first config"
             )
-            return 1
 
     ds, _ = build_dataset(ref)
     rows = []
@@ -579,7 +566,8 @@ def cmd_compare(args) -> int:
         k = len(trace.records)
         r0 = trace.initial_residual_norm
         rk = trace.final_residual_norm
-        observed = (rk / r0) ** (1.0 / k) if r0 > 0 and k > 0 else math.nan
+        # per-step factor on ||u - y||^2, the quantity predicted_factor bounds
+        observed = (rk / r0) ** (2.0 / k) if r0 > 0 and k > 0 else math.nan
         predicted = optim.predicted_factor(ocfg, ds)
         rows.append(
             {
@@ -613,7 +601,6 @@ def cmd_compare(args) -> int:
 
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         table = data_mod.csv_table(rows[0], (row.values() for row in rows))
         _atomic_write_text(out_dir / "comparison.csv", table)
         _atomic_write_text(
@@ -622,10 +609,9 @@ def cmd_compare(args) -> int:
         )
         if not args.quiet:
             print(f"wrote comparison.csv and comparison.json to {out_dir}")
-    return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     cfg, _ = _apply_overrides(load_config(args.config), args.seed, args.out)
     ds, fr = build_dataset(cfg)
     trace, report = _run_cell(cfg, {}, ds)
@@ -660,16 +646,12 @@ def cmd_verify(args) -> int:
     }
     print(_dump_json(doc), end="")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(out_dir / "verify.json", _dump_json(doc))
-    return 0
+        _atomic_write_text(Path(args.out) / "verify.json", _dump_json(doc))
 
 
-def cmd_linearized(args) -> int:
+def cmd_linearized(args) -> None:
     if args.points < 2:
-        print("natgrad linearized: --points must be >= 2", file=sys.stderr)
-        return 1
+        raise ConfigError("linearized: --points must be >= 2")
     cfg, _ = _apply_overrides(load_config(args.config), args.seed, args.out)
     if cfg.output["dir"] is None:
         raise ConfigError("config.output.dir: required (or pass --out)")
@@ -690,9 +672,7 @@ def cmd_linearized(args) -> int:
             np.linalg.norm(ds.y - lin_mod.outputs_at(lm, w_ngd)),
             np.linalg.norm(w_gd - w_ngd),
         ))
-    out_dir = Path(cfg.output["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "linearized.csv"
+    path = Path(cfg.output["dir"]) / "linearized.csv"
     header = ("t", "residual_gd", "residual_ngd", "weight_gap")
     _atomic_write_text(path, data_mod.csv_table(header, rows))
     limit = lin_mod.limit_weights(lm)
@@ -711,7 +691,6 @@ def cmd_linearized(args) -> int:
             ),
             end="",
         )
-    return 0
 
 
 def _trace_summary_from_csv(path: Path) -> dict:
@@ -737,15 +716,13 @@ def _strings(value, kind: type) -> bool:
     return isinstance(value, kind) and all(isinstance(v, str) for v in items)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     if not args.out:
-        print("natgrad report: --out (the run directory) is required", file=sys.stderr)
-        return 1
+        raise ConfigError("report: --out (the run directory) is required")
     out_dir = Path(args.out)
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
-        print(f"natgrad report: no manifest.json in {out_dir}", file=sys.stderr)
-        return 3
+        raise FormatError(f"report: no manifest.json in {out_dir}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     runs = manifest.get("runs", []) if isinstance(manifest, dict) else None
@@ -804,20 +781,10 @@ def cmd_report(args) -> int:
         _atomic_write_text(manifest_path, _dump_json(manifest))
     if not args.quiet:
         print(_dump_json(doc), end="")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # parser and entry point
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit code 2; this driver reserves 2
-    for numerical failures, so usage errors exit 1 instead."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _label_column_arg(value: str):
@@ -828,9 +795,9 @@ def _label_column_arg(value: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="natgrad", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="natgrad", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="<command>", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", metavar="<command>")
     sub.required = True
 
     # each subcommand takes only the scalar flags its handler reads
@@ -927,14 +894,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
+        # argparse exits 2 on a usage error; this driver reserves 2 for
+        # numerical failures, so usage errors exit 1 instead
+        return 1 if exc.code else 0
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return args.func(args)
+            args.func(args)
     except ConfigError as exc:
         print(f"natgrad: config error: {exc}", file=sys.stderr)
         return 1
@@ -950,6 +916,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"natgrad: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry() -> None:

@@ -19,16 +19,13 @@ J^T v is grad_matrix and G is gram.finite_gram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import SingularMatrixError
 from .gram import PD_FLOOR, finite_gram
 from .network import JacobianView
-
-if TYPE_CHECKING:
-    from .optim import LossSpec
+from .optim import LossSpec, squared_loss
 
 DECAY_TARGET = 1e12  # "t = infinity" drives every mode below 1/DECAY_TARGET
 
@@ -94,7 +91,7 @@ def ngd_discrete(
     lm: LinearizedModel,
     eta: float,
     k: int,
-    loss: "LossSpec | None" = None,
+    loss: LossSpec = squared_loss(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """k steps of the discrete natural-gradient recursion.
 
@@ -106,16 +103,11 @@ def ngd_discrete(
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    grad: Callable[[np.ndarray], np.ndarray]
-    if loss is None:
-        grad = lambda u: u - lm.y
-    else:
-        grad = lambda u: loss.grad(u, lm.y)
     lam, V = lm.eig
     w = lm.w0.copy()
     u = lm.u0.copy()
     for _ in range(k):
-        z = V @ ((V.T @ grad(u)) / lam)
+        z = V @ ((V.T @ loss.grad(u, lm.y)) / lam)
         w = w - eta * lm.jv.grad_matrix(z)
         u = outputs_at(lm, w)
     return w, u

@@ -58,14 +58,15 @@ class LossSpec:
     """Output-space loss, summed over examples as sum_i l(u_i, y_i).
 
     mu and L are the strong-convexity and gradient-Lipschitz constants of
-    the scalar l; grad maps (u, y) to the elementwise derivative in u.
+    the scalar l; grad maps (u, y) to the elementwise derivative in u and
+    value to the elementwise l.
     """
 
     kind: str
     mu: float
     L: float
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if not (0 < self.mu <= self.L):
@@ -482,14 +483,10 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         weight_drift = _norm(diff)
         np.multiply(diff, diff, out=diff)  # in place: squared drift per entry
         unit_drift = math.sqrt(float(np.max(np.add.reduce(diff, axis=1))))
-        if cfg.loss.value is not None:
-            loss_val = float(np.mean(cfg.loss.value(u, ds.y)))
-        else:
-            loss_val = math.nan
         rec = StepRecord(
             k=k,
             residual_norm=_norm(u - ds.y),
-            loss=loss_val,
+            loss=float(np.mean(cfg.loss.value(u, ds.y))),
             weight_drift=weight_drift,
             per_unit_max_drift=unit_drift,
             predicted_bound=factor**k * r0**2,

@@ -58,7 +58,7 @@ def ngd_max_eta(C: float) -> float:
     the drift constant C reaches 1/2."""
     if not (np.isfinite(C) and C >= 0):
         raise ValueError(f"C must be finite and >= 0, got {C}")
-    return max(0.0, (1.0 - 2.0 * C) / (1.0 + C) ** 2)
+    return (1.0 - 2.0 * C) / (1.0 + C) ** 2 if C < 0.5 else 0.0
 
 
 def check_conditions(p: NetworkParams, ds: Dataset, kappa: float = 1.0) -> ConditionReport:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import natgrad as ng
-from natgrad.cli import main, parse_config
+from natgrad.cli import build_dataset, main, parse_config
 
 TRACE_HEADER = (
     "k,residual_norm,loss,weight_drift,per_unit_max_drift,"
@@ -137,6 +137,20 @@ def test_forster_from_csv(tmp_path, capsys):
     assert len(sidecar["A"]) == 6
 
 
+def test_forster_from_config_transforms_once(tmp_path, capsys):
+    # a config with preprocess.forster: the command transforms the raw data
+    # once, giving the same file as --data on the untransformed CSV
+    cfg = base_config(tmp_path / "unused")
+    cfg["preprocess"] = {"forster": True}
+    cfgp = write_config(tmp_path, cfg)
+    src = tmp_path / "raw.csv"
+    ng.save_csv(ng.synth_sphere(8, 4, seed=0), src)
+    assert main(["forster", "--config", cfgp, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    assert main(["forster", "--data", str(src), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    for name in ("forster_data.csv", "forster.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_forster_exhausted_budget_exits_two(tmp_path, capsys):
     src = tmp_path / "d.csv"
     ng.save_csv(ng.synth_sphere(12, 4, seed=1), src)
@@ -163,7 +177,7 @@ def test_gram_reports_spectrum(tmp_path, capsys):
     src = tmp_path / "d.csv"
     ds = ng.synth_sphere(12, 6, seed=0)
     ng.save_csv(ds, src)
-    export = tmp_path / "gram.csv"
+    export = tmp_path / "new" / "gram.csv"  # gram creates the missing directory
     rc = main(["gram", "--data", str(src), "--label-column", "y", "--export", str(export)])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
@@ -177,6 +191,20 @@ def test_gram_reports_spectrum(tmp_path, capsys):
     # every entry round-trips exactly (repr), one "\r\n"-ended line per row
     assert np.array_equal(M, ng.limiting_gram(ng.load_csv(src, label_column="y")))
     assert export.read_bytes().count(b"\r\n") == 12
+    assert [p.name for p in export.parent.iterdir()] == ["gram.csv"]  # no temp file left
+
+
+def test_gram_from_config_applies_preprocessing(tmp_path, capsys):
+    cfg = base_config(tmp_path / "unused")
+    cfg["preprocess"] = {"forster": True}
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["gram", "--config", cfgp]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ds, fr = build_dataset(parse_config(cfg))
+    assert fr is not None
+    eigs = ng.spectrum(ng.limiting_gram(ds))
+    assert (doc["n"], doc["d"]) == (8, 4)
+    assert doc["lambda_min"] == eigs[0] and doc["lambda_max"] == eigs[-1]
 
 
 def test_non_finite_data_cells_exit_three(tmp_path, capsys):
@@ -570,13 +598,45 @@ def test_compare_rejects_mismatched_data(tmp_path, capsys):
     p1 = write_config(tmp_path, a, "a.json")
     p2 = write_config(tmp_path, b, "b.json")
     assert main(["compare", "--config", p1, "--config", p2]) == 1
-    assert "does not share" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("natgrad: config error: compare: config #2 does not share")
 
 
 def test_compare_needs_two_configs(tmp_path, capsys):
     p1 = write_config(tmp_path, base_config(tmp_path))
     assert main(["compare", "--config", p1]) == 1
-    assert "at least two" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "natgrad: config error: compare: need at least two --config files\n"
+    )
+
+
+@pytest.mark.filterwarnings("ignore:eta = 0.5 exceeds lambda_min:UserWarning")
+def test_compare_factors_are_on_squared_residual(tmp_path, capsys):
+    # the README data: observed_gm_factor is the per-step factor on
+    # ||u - y||^2, the same quantity predicted_factor bounds
+    shared = {
+        "data": {"synth": {"n": 16, "d": 8, "seed": 1}},
+        "model": {"m": 4096, "nu": 1.0, "seed": 5},
+    }
+    paths = []
+    for method in ("ngd_exact", "kfac"):
+        cfg = {**shared, "optimizer": {"method": method, "damping": 0.0, "max_steps": 10}}
+        paths.append(write_config(tmp_path, cfg, f"{method}.json"))
+    out = tmp_path / "cmp"
+    args = ["compare", "--config", paths[0], "--config", paths[1], "--out", str(out), "--quiet"]
+    assert main(args) == 0
+    capsys.readouterr()
+    rows = read_json(out / "comparison.json")["rows"]
+    assert [row["method"] for row in rows] == ["ngd_exact", "kfac"]
+    for path, row in zip(paths, rows):
+        cfg = parse_config(read_json(path))
+        ds, _ = build_dataset(cfg)
+        p = ng.init_network(4096, ds.d, 1.0, seed=5)
+        trace = ng.train(p, ds, cfg.optimizer_config)
+        k = len(trace.records)
+        ratio = trace.final_residual_norm / trace.initial_residual_norm
+        assert row["observed_gm_factor"] == ratio ** (2.0 / k)
+        assert row["observed_gm_factor"] <= row["predicted_factor"]
 
 
 # ---------------------------------------------------------------------------
@@ -692,12 +752,33 @@ def test_report_merges_run_directory(tmp_path, capsys):
     assert {p.name for p in out.iterdir()} == set(manifest["artifacts"])
 
 
+def test_report_summarizes_csv_only_traces(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = base_config(out)
+    cfg["output"]["formats"] = ["csv"]
+    cfg["sweeps"] = {"eta": [0.5, 0.25]}
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--quiet"]) == 0
+    assert main(["report", "--out", str(out), "--quiet"]) == 0
+    experiments = read_json(out / "report.json")["experiments"]
+    assert [e["eta"] for e in experiments] == [0.25, 0.5]
+    for e in experiments:
+        source = e["files"]["trace_csv"]
+        assert source == f"trace__{e['name']}.csv"
+        rows = (out / source).read_text().strip().split("\n")
+        assert e["trace"] == {
+            "steps": 5,
+            "final_residual_norm": float(rows[-1].split(",")[1]),
+            "source": source,
+        }
+
+
 def test_report_missing_manifest_exits_three(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", "--out", str(empty)]) == 3
-    assert "no manifest.json" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("natgrad: input error: report: no manifest.json")
     assert main(["report"]) == 1  # --out required
+    assert capsys.readouterr().err.startswith("natgrad: config error: report: --out")
 
 
 @pytest.mark.parametrize(
@@ -789,7 +870,7 @@ def test_console_script_runs():
 def test_console_script_exit_code_passthrough():
     proc = run_console_script("gen-data")
     assert proc.returncode == 1
-    assert "gen-data: --out is required" in proc.stderr
+    assert proc.stderr == "natgrad: config error: gen-data: --out is required\n"
 
 
 def test_module_invocation():

@@ -6,7 +6,8 @@ reaches into another's private names, PD_FLOOR is defined once and the
 PD guard written once (in gram), the activation tie rule is written once
 for network weights, and the Jacobian is never made dense nor the Gram
 wrapped in a class.  Only data spells artifact values: optim and cli call
-no repr.  Every third-party module the tests import is declared in
+no repr.  In cli, main alone reports a failure and picks its exit code, and
+the atomic writer alone creates directories.  Every third-party module the tests import is declared in
 pyproject.toml.
 """
 import ast
@@ -203,6 +204,35 @@ def test_cell_rule_written_in_data_only():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr"
     ]
     assert found == []
+
+
+def test_cli_failures_and_directories_decided_once():
+    """In cli, only main and _show_warning touch sys.stderr, no cmd_*
+    handler returns a value (a failure raises, and main maps it to its exit
+    code), and only _atomic_via creates a directory."""
+    def own_nodes(fn):
+        """The nodes of fn's body, without those of functions nested in it."""
+        stack = list(fn.body)
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, ast.FunctionDef):  # ast.walk visits it on its own
+                stack.extend(ast.iter_child_nodes(node))
+
+    stderr, returns, mkdirs = [], [], []
+    for fn in ast.walk(parse("cli")):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in own_nodes(fn):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr":
+                stderr.append(fn.name)
+            elif isinstance(node, ast.Return) and node.value is not None:
+                returns.append(fn.name)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "mkdir":
+                mkdirs.append(fn.name)
+    assert set(stderr) == {"main", "_show_warning"}
+    assert [name for name in returns if name.startswith("cmd_")] == []
+    assert mkdirs == ["_atomic_via"]
 
 
 def test_third_party_test_imports_are_declared():

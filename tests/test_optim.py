@@ -86,7 +86,9 @@ def test_loss_constant_validation():
     with pytest.raises(ValueError, match="mu"):
         logcosh_loss(mu=0.0)
     with pytest.raises(ValueError, match="0 < mu <= L"):
-        ng.LossSpec(kind="bad", mu=2.0, L=1.0, grad=lambda u, y: u - y)
+        ng.LossSpec(
+            kind="bad", mu=2.0, L=1.0, grad=lambda u, y: u - y, value=lambda u, y: u - y
+        )
 
 
 def test_optimizer_config_validation():

@@ -33,6 +33,17 @@ def test_max_eta_values():
         ngd_max_eta(float("nan"))
 
 
+def test_max_eta_huge_drift_is_zero():
+    # (1 + C)**2 overflows a float past C ~ 1.34e154; the bound is 0 long before
+    assert ngd_max_eta(1e155) == 0.0
+    assert ngd_max_eta(1e300) == 0.0
+
+
+def test_max_eta_bits_below_half():
+    for C in np.linspace(0.0, 0.5, 2001).tolist():
+        assert ngd_max_eta(C) == max(0.0, (1 - 2 * C) / (1 + C) ** 2), C
+
+
 def test_rate_predictor_squared_loss():
     assert rate_predictor("ngd", 0.5) == 0.5
     assert rate_predictor("ngd", 1.0) == 0.0
