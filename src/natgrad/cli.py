@@ -12,10 +12,13 @@ Subcommands:
     report      merge one output directory's artifacts into report.json
 
 Configuration is a JSON object with blocks data, preprocess, model,
-optimizer, output, sweeps (see SCHEMA and parse_config).  Scalar flags
-override config fields (--seed beats model.seed, --out beats output.dir),
-and every override is recorded in the manifest.  Identical configuration produces
-byte-identical artifacts; the only timestamp lives in manifest.json.
+optimizer, output, sweeps (see SCHEMA and parse_config).  Every subcommand
+that reads a dataset takes it from --config (compare takes several), and
+only train runs a config's sweeps: compare, verify and linearized refuse a
+config that has one.  Scalar flags override config fields (--seed beats
+model.seed, --out beats output.dir), and every override is recorded in the
+manifest.  Identical configuration produces byte-identical artifacts; the
+only timestamp lives in manifest.json.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 failure, 3 I/O or file-format error.  train runs every cell before it
@@ -460,6 +463,15 @@ def _apply_overrides(
     return cfg, overrides
 
 
+def _load_one_cell(path, command: str) -> ExperimentConfig:
+    """The config at path, refused if it sweeps: a sweep has many cells,
+    and only train runs more than one."""
+    cfg = load_config(path)
+    if cfg.sweeps:
+        raise ConfigError(f"{command}: config.sweeps: only train runs a sweep")
+    return cfg
+
+
 def cmd_gen_data(args) -> None:
     if not args.out:
         raise ConfigError("gen-data: --out is required")
@@ -483,19 +495,10 @@ def cmd_gen_data(args) -> None:
     )
 
 
-def _dataset_from_args(args, apply_forster: bool) -> Dataset:
-    if bool(args.config) == bool(args.data):
-        raise ConfigError("exactly one of --config or --data is required")
-    if args.config:
-        ds, _ = build_dataset(load_config(args.config), apply_forster=apply_forster)
-        return ds
-    return data_mod.load_csv(args.data, label_column=args.label_column, normalize=args.normalize)
-
-
 def cmd_forster(args) -> None:
     if not args.out:
         raise ConfigError("forster: --out is required")
-    ds = _dataset_from_args(args, apply_forster=False)
+    ds, _ = build_dataset(load_config(args.config), apply_forster=False)
     result = forster_mod.forster_transform(ds.X, tol=args.tol, max_iter=args.max_iter)
     transformed = Dataset(result.Z, ds.y)
     out_dir = Path(args.out)
@@ -514,7 +517,7 @@ def cmd_forster(args) -> None:
 
 
 def cmd_gram(args) -> None:
-    ds = _dataset_from_args(args, apply_forster=True)
+    ds, _ = build_dataset(load_config(args.config))
     G = gram_mod.limiting_gram(ds)
     eigs = gram_mod.spectrum(G)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
@@ -545,7 +548,7 @@ def cmd_compare(args) -> None:
         raise ConfigError("compare: need at least two --config files")
     cfgs = []
     for path in args.config:
-        cfgs.append(_apply_overrides(load_config(path), args.seed)[0])
+        cfgs.append(_apply_overrides(_load_one_cell(path, "compare"), args.seed)[0])
     ref = cfgs[0]
     for i, cfg in enumerate(cfgs[1:], start=2):
         if (
@@ -612,7 +615,7 @@ def cmd_compare(args) -> None:
 
 
 def cmd_verify(args) -> None:
-    cfg, _ = _apply_overrides(load_config(args.config), args.seed, args.out)
+    cfg, _ = _apply_overrides(_load_one_cell(args.config, "verify"), args.seed, args.out)
     ds, fr = build_dataset(cfg)
     trace, report = _run_cell(cfg, {}, ds)
     Ginf = gram_mod.limiting_gram(ds)
@@ -652,7 +655,7 @@ def cmd_verify(args) -> None:
 def cmd_linearized(args) -> None:
     if args.points < 2:
         raise ConfigError("linearized: --points must be >= 2")
-    cfg, _ = _apply_overrides(load_config(args.config), args.seed, args.out)
+    cfg, _ = _apply_overrides(_load_one_cell(args.config, "linearized"), args.seed, args.out)
     if cfg.output["dir"] is None:
         raise ConfigError("config.output.dir: required (or pass --out)")
     ds, _ = build_dataset(cfg)
@@ -787,13 +790,6 @@ def cmd_report(args) -> None:
 # parser and entry point
 
 
-def _label_column_arg(value: str):
-    try:
-        return int(value)
-    except ValueError:
-        return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="natgrad", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -801,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.required = True
 
     # each subcommand takes only the scalar flags its handler reads
-    out, seed, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    config, out, seed, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config.add_argument("--config", metavar="PATH", required=True, help="experiment config JSON")
     out.add_argument("--out", metavar="DIR", help="output directory")
     seed.add_argument("--seed", type=int, metavar="N", help="seed override")
     quiet.add_argument("--quiet", action="store_true", help="suppress informational output")
@@ -819,21 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_gen_data)
 
-    data_source = argparse.ArgumentParser(add_help=False)
-    data_source.add_argument("--config", metavar="PATH", help="experiment config JSON")
-    data_source.add_argument("--data", metavar="PATH", help="dataset CSV")
-    data_source.add_argument(
-        "--label-column",
-        type=_label_column_arg,
-        default=-1,
-        help="label column index or header name (with --data)",
-    )
-    data_source.add_argument(
-        "--normalize", action="store_true", help="normalize input rows (with --data)"
-    )
-
     p = sub.add_parser(
-        "forster", parents=[out, quiet, data_source],
+        "forster", parents=[config, out, quiet],
         help="transform inputs so X^T X = (n/d) I with unit rows",
     )
     p.add_argument("--tol", type=float, default=forster_mod.DEFAULT_TOL)
@@ -841,13 +825,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forster)
 
     p = sub.add_parser(
-        "gram", parents=[data_source], help="print the limiting Gram spectrum of a dataset"
+        "gram", parents=[config], help="print the limiting Gram spectrum of a dataset"
     )
     p.add_argument("--export", metavar="PATH", help="also write the Gram matrix as CSV")
     p.set_defaults(func=cmd_gram)
 
-    p = sub.add_parser("train", parents=[out, seed, quiet], help="run a training experiment")
-    p.add_argument("--config", metavar="PATH", required=True)
+    p = sub.add_parser(
+        "train", parents=[config, out, seed, quiet], help="run a training experiment"
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
@@ -861,17 +846,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
-        "verify", parents=[out, seed],
+        "verify", parents=[config, out, seed],
         help="print a consolidated condition / bound / rate report",
     )
-    p.add_argument("--config", metavar="PATH", required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "linearized", parents=[out, seed, quiet],
+        "linearized", parents=[config, out, seed, quiet],
         help="emit closed-form frozen-Jacobian trajectories as CSV",
     )
-    p.add_argument("--config", metavar="PATH", required=True)
     p.add_argument("--points", type=int, default=50, help="number of time points")
     p.set_defaults(func=cmd_linearized)
 

@@ -72,8 +72,13 @@ def forster_transform(
     the fixed point returns immediately with iterations=0 and A=I.  Raises
     RankDeficiencyError if Z.T Z becomes (numerically) singular at any
     iterate, and NonConvergenceError carrying the final error if max_iter
-    is exhausted.
+    is exhausted.  Raises ValueError unless max_iter >= 0 and tol is finite
+    and >= 0.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     if n < d:

@@ -15,6 +15,7 @@ import pytest
 import oracles
 import natgrad as ng
 from natgrad.cli import main
+from natgrad.optim import predicted_factor
 from conftest import record_criterion
 
 
@@ -95,10 +96,17 @@ def test_criterion_05_kfac_rate_after_preprocessing():
     cfg = ng.OptimizerConfig(method="kfac", eta=eta, damping=0.0, max_steps=10)
     trace = ng.train(p, ds, cfg)
     k = len(trace.records)
-    gm = (trace.final_residual_norm / trace.initial_residual_norm) ** (1.0 / k)
+    ratio = trace.final_residual_norm / trace.initial_residual_norm
+    gm = ratio ** (1.0 / k)  # per-step factor on the residual norm ||u - y||
+    gm_sq = ratio ** (2.0 / k)  # per-step factor on ||u - y||^2
     target = 1.0 - eta * ds.d / ds.n
-    assert record_criterion(5, name, abs(gm - target) <= 0.05), (
-        f"geometric-mean factor {gm:.4f} vs target {target}"
+    predicted = predicted_factor(cfg, ds)  # the bound's factor, on ||u - y||^2
+    within_bound = all(r.residual_norm**2 <= r.predicted_bound for r in trace.records)
+    ok = abs(gm - target) <= 0.05 and gm_sq <= predicted and within_bound
+    assert record_criterion(5, name, ok), (
+        f"norm factor {gm:.4f} vs target {target}; squared-residual factor "
+        f"{gm_sq:.4f} vs predicted_factor {predicted}; "
+        f"every ||u - y||^2 <= predicted_bound: {within_bound}"
     )
 
 

@@ -1,4 +1,5 @@
 """Command-line driver: subcommands, exit codes, artifact contracts."""
+import argparse
 import json
 import re
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import natgrad as ng
-from natgrad.cli import build_dataset, main, parse_config
+from natgrad.cli import build_dataset, build_parser, main, parse_config
 
 TRACE_HEADER = (
     "k,residual_norm,loss,weight_drift,per_unit_max_drift,"
@@ -47,6 +48,34 @@ def test_version_flag(capsys):
     assert ng.__version__ in capsys.readouterr().out
 
 
+# every option each subcommand takes; their count is the CLI's number of
+# settable values
+CLI_FLAGS = {
+    "gen-data": ("--d", "--n", "--out", "--seed", "--target-model"),
+    "forster": ("--config", "--max-iter", "--out", "--quiet", "--tol"),
+    "gram": ("--config", "--export"),
+    "train": ("--config", "--out", "--quiet", "--seed"),
+    "compare": ("--config", "--out", "--quiet", "--seed"),
+    "verify": ("--config", "--out", "--seed"),
+    "linearized": ("--config", "--out", "--points", "--quiet", "--seed"),
+    "report": ("--out", "--quiet"),
+}
+
+
+def test_cli_flag_table():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {
+        name: tuple(sorted(
+            flag for action in sub._actions for flag in action.option_strings
+            if not isinstance(action, argparse._HelpAction)
+        ))
+        for name, sub in commands.choices.items()
+    }
+    assert table == CLI_FLAGS
+    assert sum(len(flags) for flags in table.values()) == 30
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -60,6 +89,8 @@ def test_usage_errors_exit_one(capsys):
         ("gram", "--out"), ("gram", "--seed"), ("gram", "--quiet"),
         ("forster", "--seed"), ("report", "--seed"),
         ("gen-data", "--quiet"), ("verify", "--quiet"),
+        *((command, flag) for command in ("gram", "forster")
+          for flag in ("--data", "--label-column", "--normalize")),
     ],
 )
 def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, command, flag):
@@ -76,7 +107,10 @@ def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, command, flag):
     }[command]
     if command == "report":
         assert main(["train", "--config", cfgp, "--quiet"]) == 0
-    extra = [flag] if flag == "--quiet" else [flag, str(tmp_path / "x") if flag == "--out" else "1"]
+    if flag in ("--quiet", "--normalize"):
+        extra = [flag]
+    else:
+        extra = [flag, str(tmp_path / "x") if flag in ("--out", "--data") else "1"]
     assert main([command, *argv, *extra]) == 1
     assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
@@ -118,13 +152,21 @@ def test_gen_data_rejects_tiny_n(tmp_path, capsys):
 # forster
 
 
+def csv_config(tmp_path, ds, name="data", normalize=False, **data):
+    """A config file whose dataset is ds, saved as name.csv; data adds
+    data-block keys."""
+    src = tmp_path / f"{name}.csv"
+    ng.save_csv(ds, src)
+    cfg = {"data": {"path": str(src), **data}, "preprocess": {"normalize": normalize}}
+    return write_config(tmp_path, cfg, f"{name}.json")
+
+
 def test_forster_from_csv(tmp_path, capsys):
     raw = ng.synth_sphere(24, 6, seed=0)
     skewed = ng.Dataset(raw.X * np.array([1, 1, 1, 1, 0.2, 0.1]), raw.y)
-    src = tmp_path / "raw.csv"
-    ng.save_csv(skewed, src)
+    cfgp = csv_config(tmp_path, skewed, "raw", normalize=True)
     out = tmp_path / "out"
-    rc = main(["forster", "--data", str(src), "--normalize", "--out", str(out)])
+    rc = main(["forster", "--config", cfgp, "--out", str(out)])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["final_error"] <= 1e-8
@@ -139,34 +181,44 @@ def test_forster_from_csv(tmp_path, capsys):
 
 def test_forster_from_config_transforms_once(tmp_path, capsys):
     # a config with preprocess.forster: the command transforms the raw data
-    # once, giving the same file as --data on the untransformed CSV
+    # once, giving the same file as a config naming the untransformed CSV
     cfg = base_config(tmp_path / "unused")
     cfg["preprocess"] = {"forster": True}
     cfgp = write_config(tmp_path, cfg)
-    src = tmp_path / "raw.csv"
-    ng.save_csv(ng.synth_sphere(8, 4, seed=0), src)
+    raw = csv_config(tmp_path, ng.synth_sphere(8, 4, seed=0), "raw")
     assert main(["forster", "--config", cfgp, "--out", str(tmp_path / "a"), "--quiet"]) == 0
-    assert main(["forster", "--data", str(src), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    assert main(["forster", "--config", raw, "--out", str(tmp_path / "b"), "--quiet"]) == 0
     for name in ("forster_data.csv", "forster.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_forster_exhausted_budget_exits_two(tmp_path, capsys):
-    src = tmp_path / "d.csv"
-    ng.save_csv(ng.synth_sphere(12, 4, seed=1), src)
-    rc = main(["forster", "--data", str(src), "--max-iter", "0", "--out", str(tmp_path / "o")])
+    cfgp = csv_config(tmp_path, ng.synth_sphere(12, 4, seed=1))
+    rc = main(["forster", "--config", cfgp, "--max-iter", "0", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_forster_needs_exactly_one_source(tmp_path, capsys):
-    assert main(["forster", "--out", str(tmp_path)]) == 1
-    cfgp = write_config(tmp_path, base_config(tmp_path))
-    src = tmp_path / "d.csv"
-    ng.save_csv(ng.synth_sphere(8, 4, seed=0), src)
-    assert main(["forster", "--config", cfgp, "--data", str(src), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "exactly one of --config or --data" in err
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-iter", "-1", "max_iter must be >= 0, got -1"),
+        ("--tol", "-1", "tol must be finite and >= 0, got -1.0"),
+    ],
+    ids=["max_iter", "tol"],
+)
+def test_forster_rejects_bad_budget(tmp_path, capsys, flag, value, message):
+    cfgp = csv_config(tmp_path, ng.synth_sphere(12, 4, seed=1))
+    out = tmp_path / "o"
+    assert main(["forster", "--config", cfgp, flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"natgrad: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["forster", "--out", "o"], ["gram"]], ids=["forster", "gram"])
+def test_gram_and_forster_need_config(tmp_path, capsys, argv):
+    assert main(argv) == 1
+    assert "the following arguments are required: --config" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +226,11 @@ def test_forster_needs_exactly_one_source(tmp_path, capsys):
 
 
 def test_gram_reports_spectrum(tmp_path, capsys):
-    src = tmp_path / "d.csv"
     ds = ng.synth_sphere(12, 6, seed=0)
-    ng.save_csv(ds, src)
+    cfgp = csv_config(tmp_path, ds, "d", label_column="y")
+    src = tmp_path / "d.csv"
     export = tmp_path / "new" / "gram.csv"  # gram creates the missing directory
-    rc = main(["gram", "--data", str(src), "--label-column", "y", "--export", str(export)])
+    rc = main(["gram", "--config", cfgp, "--export", str(export)])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "limiting"
@@ -217,7 +269,8 @@ def test_non_finite_data_cells_exit_three(tmp_path, capsys):
     rows[1][0] = "nan"  # file row 3, below the header
     nan_feature = tmp_path / "nan.csv"
     nan_feature.write_text("x0,x1,x2,x3,y\n" + lines(rows))
-    assert main(["gram", "--data", str(nan_feature)]) == 3
+    cfgp = write_config(tmp_path, {"data": {"path": str(nan_feature)}}, "nan.json")
+    assert main(["gram", "--config", cfgp]) == 3
     assert "row 3, column 1: could not parse 'nan'" in capsys.readouterr().err
 
     rows[1][0], rows[2][4] = repr(ds.X[1, 0].item()), "inf"  # no header: row 3 is rows[2]
@@ -608,6 +661,23 @@ def test_compare_needs_two_configs(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "natgrad: config error: compare: need at least two --config files\n"
     )
+
+
+@pytest.mark.parametrize("command", ["compare", "verify", "linearized"])
+def test_single_run_commands_refuse_sweeps(tmp_path, capsys, command):
+    """Only train runs a sweep; the others would silently run the base
+    cell, which need not be one of the sweep's cells."""
+    out = tmp_path / "out"
+    cfg = {**base_config(tmp_path / "unused"), "sweeps": {"eta": [0.25, 0.75]}}
+    cfgp = write_config(tmp_path, cfg)
+    argv = [command, "--config", cfgp, "--out", str(out)]
+    if command == "compare":
+        argv += ["--config", write_config(tmp_path, base_config(tmp_path / "unused"), "one.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"natgrad: config error: {command}: config.sweeps: only train runs a sweep\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:eta = 0.5 exceeds lambda_min:UserWarning")

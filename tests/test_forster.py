@@ -96,6 +96,21 @@ def test_transform_budget_exhaustion():
     assert "0 iterations" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ({"max_iter": -1}, "max_iter must be >= 0, got -1"),
+        ({"tol": -1.0}, "tol must be finite and >= 0, got -1.0"),
+        ({"tol": float("nan")}, "tol must be finite and >= 0, got nan"),
+        ({"tol": float("inf")}, "tol must be finite and >= 0, got inf"),
+    ],
+    ids=["max_iter", "tol_negative", "tol_nan", "tol_inf"],
+)
+def test_transform_rejects_bad_budget(budget, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        forster_transform(synth_sphere(12, 4, seed=3).X, **budget)
+
+
 def test_transform_rejects_wide_matrix():
     with pytest.raises(ValueError, match="n >= d"):
         forster_transform(np.ones((3, 5)))
