@@ -306,9 +306,11 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def build_dataset(
-    cfg: ExperimentConfig, apply_forster: bool = True
+    cfg: ExperimentConfig, raw: bool = False
 ) -> tuple[Dataset, forster_mod.ForsterResult | None]:
-    """Materialize the config's dataset, with preprocessing applied."""
+    """Materialize the config's dataset, with its preprocessing applied and
+    validated (unit-norm, non-parallel rows; ValueError otherwise).  raw
+    gives the rows as read, for forster, which normalizes its own input."""
     if "path" in cfg.data:
         ds = data_mod.load_csv(
             cfg.data["path"],
@@ -318,10 +320,13 @@ def build_dataset(
     else:
         s = cfg.data["synth"]
         ds = data_mod.synth_sphere(s["n"], s["d"], s["seed"], s["target_model"])
+    if raw:
+        return ds, None
     result = None
-    if apply_forster and cfg.preprocess["forster"]:
+    if cfg.preprocess["forster"]:
         result = forster_mod.forster_transform(ds.X)
         ds = Dataset(result.Z, ds.y)
+    data_mod.require_valid(ds)
     return ds, result
 
 
@@ -498,7 +503,7 @@ def cmd_gen_data(args) -> None:
 def cmd_forster(args) -> None:
     if not args.out:
         raise ConfigError("forster: --out is required")
-    ds, _ = build_dataset(load_config(args.config), apply_forster=False)
+    ds, _ = build_dataset(load_config(args.config), raw=True)
     result = forster_mod.forster_transform(ds.X, tol=args.tol, max_iter=args.max_iter)
     transformed = Dataset(result.Z, ds.y)
     out_dir = Path(args.out)

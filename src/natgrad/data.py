@@ -94,6 +94,17 @@ def validate(ds: Dataset) -> DataValidationReport:
     return DataValidationReport(max_norm_deviation, min_gap, max_abs_target, passed)
 
 
+def require_valid(ds: Dataset) -> None:
+    """Raise ValueError, naming both margins, unless ds passes validate()."""
+    report = validate(ds)
+    if not report.passed:
+        raise ValueError(
+            "dataset failed validation: "
+            f"max norm deviation {report.max_norm_deviation:.3e}, "
+            f"min pairwise angle gap {report.min_pairwise_angle_gap:.3e}"
+        )
+
+
 def synth_sphere(n: int, d: int, seed: int, target_model: str = "random_pm1") -> Dataset:
     """Draw n inputs i.i.d. uniform on the unit sphere in R^d.
 

@@ -15,9 +15,10 @@ Kronecker factorization: a unit-side factor S~ S~^T and an input-side
 factor X^T X, each inverted separately.  S~ = S diag(a) / sqrt(m) for the
 0/1 pattern S of network.forward is never formed: S~ S~^T is
 gram.pre_activation_gram(S), and a / sqrt(m) scales the m x d side of each
-product.  Every direct solve is gram.guarded_solve, the one PD guard: the
-output Gram's, the unit factor's and the input factor's.  With damping = 0
-the unit factor's pseudoinverse is the fallback only when that guard fails.
+product.  Every direct solve is gram.guarded_solve, the one PD guard, whose
+one Cholesky factor is reused by the solve: the output Gram's, the unit
+factor's and the input factor's.  With damping = 0 the unit factor's
+pseudoinverse is the fallback only when that guard fails.
 
 train() drives any of these for a fixed number of steps and records a
 ConvergenceTrace: per-step residual norm, loss, weight drift from
@@ -37,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import gram, network
-from .data import Dataset, csv_table, jsonable, validate
+from .data import Dataset, csv_table, jsonable, require_valid
 from .errors import DivergenceError, RankDeficiencyError, SingularMatrixError
 from .gram import PD_FLOOR
 from .network import NetworkParams
@@ -171,6 +172,18 @@ def _solve_gram(
 def _norm(v: np.ndarray) -> float:
     """sqrt(v . v), np.linalg.norm(v)'s bits; optim calls numpy.linalg for pinv only."""
     return math.sqrt(float(v.ravel().dot(v.ravel())))
+
+
+def _residual_norm(u: np.ndarray, ds: Dataset, step: int) -> float:
+    """||u - y||, raising DivergenceError at `step` when it is not finite
+    (non-finite outputs, or a square sum beyond float range)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+        r = _norm(u - ds.y)
+    if not math.isfinite(r):
+        raise DivergenceError(
+            f"training diverged at step {step}: residual norm is {r}", step=step
+        )
+    return r
 
 
 def cg_solve(
@@ -424,20 +437,15 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
 
     The dataset must pass validate() (unit-norm rows, no coincident
     points).  Stops early once the residual norm falls to 1e-12; raises
-    DivergenceError if outputs or weights stop being finite.  A step's
-    SingularMatrixError or RankDeficiencyError is raised again as its own
-    type with the step in err.step and in the message.
+    DivergenceError if a residual norm (the initial one included) or the
+    weights stop being finite.  A step's SingularMatrixError or
+    RankDeficiencyError is raised again as its own type with the step in
+    err.step and in the message.
     """
-    report = validate(ds)
-    if not report.passed:
-        raise ValueError(
-            "dataset failed validation: "
-            f"max norm deviation {report.max_norm_deviation:.3e}, "
-            f"min pairwise angle gap {report.min_pairwise_angle_gap:.3e}"
-        )
+    require_valid(ds)
 
     u, S = network.forward(p, ds.X)  # outputs and pattern at the current iterate
-    r0 = _norm(u - ds.y)
+    r0 = _residual_norm(u, ds, 0)
     factor = predicted_factor(cfg, ds)
     if cfg.track_lambda_min or cfg.track_jacobian_drift:
         XXt = ds.X @ ds.X.T
@@ -467,10 +475,9 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
 
         fwd = S = None  # an n x m array; drop it before forward forms the next
         u, S = network.forward(current, ds.X)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(current.w))):
-            raise DivergenceError(
-                f"training diverged at step {k}: non-finite outputs or weights", step=k
-            )
+        residual_norm = _residual_norm(u, ds, k)
+        if not np.all(np.isfinite(current.w)):
+            raise DivergenceError(f"training diverged at step {k}: non-finite weights", step=k)
 
         lam_min = None
         jac_drift = None
@@ -485,7 +492,7 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         unit_drift = math.sqrt(float(np.max(np.add.reduce(diff, axis=1))))
         rec = StepRecord(
             k=k,
-            residual_norm=_norm(u - ds.y),
+            residual_norm=residual_norm,
             loss=float(np.mean(cfg.loss.value(u, ds.y))),
             weight_drift=weight_drift,
             per_unit_max_drift=unit_drift,

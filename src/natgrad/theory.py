@@ -25,6 +25,7 @@ smallest eigenvalue.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -231,4 +232,12 @@ def overparam_requirement(n: int, lambda0_hat: float, nu: float, delta: float) -
         raise ValueError(f"nu must be positive, got {nu}")
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return n**4 / (nu**2 * lambda0_hat**4 * delta**3)
+    try:
+        return n**4 / (nu**2 * lambda0_hat**4 * delta**3)
+    except (OverflowError, ZeroDivisionError):
+        # a power left float range (nu = 1e-300 squares to 0): the width
+        # from its logarithm, +inf when no float is that large
+        log_m = (
+            4 * math.log(n) - 2 * math.log(nu) - 4 * math.log(lambda0_hat) - 3 * math.log(delta)
+        )
+        return math.exp(log_m) if log_m < math.log(sys.float_info.max) else math.inf

@@ -92,6 +92,14 @@ def pd_guard_eig(G, damping):
     return float(np.linalg.eigvalsh(G)[0]) + damping <= 1e-12
 
 
+def eig_solve(A, b):
+    """A^-1 b for a symmetric nonsingular A, through its eigendecomposition
+    A = V diag(lam) V^T: V (V^T b / lam), for a vector or n x k b."""
+    lam, V = np.linalg.eigh(A)
+    c = V.T @ b
+    return V @ (c / lam.reshape((-1,) + (1,) * (c.ndim - 1)))
+
+
 def kfac_step_kron(w, a, X, y, eta):
     """One Kronecker-factored step through the explicit kron matrix.
 

@@ -259,6 +259,20 @@ def test_gram_from_config_applies_preprocessing(tmp_path, capsys):
     assert doc["lambda_min"] == eigs[0] and doc["lambda_max"] == eigs[-1]
 
 
+@pytest.mark.parametrize("defect", ["norm3", "duplicate"])
+def test_gram_validates_its_dataset(tmp_path, capsys, defect):
+    # limiting_gram assumes unit, non-parallel rows: rows of norm 3 gave a
+    # negative lambda_min for the PSD G_inf, and a repeated row exited 0
+    ds = ng.synth_sphere(8, 4, seed=0)
+    X = 3.0 * ds.X if defect == "norm3" else np.vstack([ds.X[:1], ds.X[:-1]])
+    cfgp = csv_config(tmp_path, ng.Dataset(X, ds.y), defect)
+    assert main(["gram", "--config", cfgp]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("natgrad: error: dataset failed validation: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_non_finite_data_cells_exit_three(tmp_path, capsys):
     """A nan or inf cell is a format error, whichever command reads it."""
     def lines(rows):
@@ -731,6 +745,32 @@ def test_verify_consolidated_report(tmp_path, capsys):
     assert doc["trace"]["steps"] == 5
     assert doc["trace"]["threshold"] == 1e-3
     assert read_json(out / "verify.json") == doc
+
+
+def test_verify_with_underflowing_nu(tmp_path, capsys):
+    # nu**2 underflows to 0 in the width requirement: no float width is
+    # enough, so suggested_m is null (+inf) and verify still exits 0
+    cfg = base_config(tmp_path / "v")
+    cfg["model"]["nu"] = 1e-300
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["overparam"]["suggested_m"] is None
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_overflowing_residual_exits_two(tmp_path, capsys, command):
+    # outputs near 1e300 square past float range: divergence at step 0,
+    # one stderr line and nothing written
+    cfg = base_config(tmp_path / "run")
+    cfg["model"]["nu"] = 1e300
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "natgrad: numerical failure: training diverged at step 0: residual norm is inf\n"
+    )
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -71,18 +71,60 @@ def test_pattern_gram_in_place_matches_out_of_place_product(ds):
 
 
 def test_guarded_solve_is_the_direct_solve_behind_a_cholesky_guard():
-    # lambda_min > PD_FLOOR: np.linalg.solve's bits; lambda_min at or
-    # below the floor, or indefinite: None.  A is never written.
+    # lambda_min > PD_FLOOR: the eigendecomposition oracle's solution,
+    # within 1e-14 cond(A); lambda_min at or below the floor, or
+    # indefinite: None.  A is never written.
     rng = np.random.default_rng(0)
     B = rng.standard_normal((6, 6))
     A = B @ B.T + np.eye(6)
     rhs = rng.standard_normal((6, 2))
     before = A.copy()
-    assert np.array_equal(gram.guarded_solve(A, rhs), np.linalg.solve(A, rhs))
+    expected = oracles.eig_solve(A, rhs)
+    got = gram.guarded_solve(A, rhs)
+    assert np.abs(got - expected).max() <= 1e-14 * np.linalg.cond(A) * np.abs(expected).max()
     assert np.array_equal(A, before)
     assert gram.guarded_solve(np.diag([1.0, 2.0 * gram.PD_FLOOR]), np.ones(2)) is not None
     for lam in (gram.PD_FLOOR / 2, 0.0, -1.0):
         assert gram.guarded_solve(np.diag([1.0, lam]), np.ones(2)) is None
+
+
+def spd_with_spectrum(lam, seed):
+    """Q diag(lam) Q^T for a random orthogonal Q, symmetrized."""
+    n = len(lam)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    A = (Q * lam) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("cols", [None, 3])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+def test_guarded_solve_matches_eigen_oracle(n, cols):
+    # panel edges (64 rows) and a vector or n x k right-hand side.  The
+    # factor is of A - PD_FLOOR I, whose solve alone is off by
+    # PD_FLOOR / (lambda_min - PD_FLOOR) along the bottom eigenvector: a
+    # ninth at lambda_min = 10 PD_FLOOR, five times at 1.2 PD_FLOOR.  Those
+    # matrices are scaled near the floor with cond(A) = 4, so roundoff
+    # cannot hide the shift; just under the floor the guard returns None.
+    rng = np.random.default_rng(n)
+    rhs = rng.standard_normal(n if cols is None else (n, cols))
+    well = spd_with_spectrum(np.geomspace(1e-2, 10.0, n), seed=n)
+    expected = oracles.eig_solve(well, rhs)
+    err = np.abs(gram.guarded_solve(well, rhs) - expected).max()
+    assert err <= 1e-14 * np.linalg.cond(well) * np.abs(expected).max()
+
+    for floor_multiple in (10.0, 1.2):
+        lam = floor_multiple * gram.PD_FLOOR * np.linspace(1.0, 4.0, n)
+        near = spd_with_spectrum(lam, seed=n)
+        assert oracles.pd_guard_eig(near, 0.0) is False
+        expected = oracles.eig_solve(near, rhs)
+        err = np.abs(gram.guarded_solve(near, rhs) - expected).max()
+        assert err <= 1e-6 * np.abs(expected).max()
+
+    under = spd_with_spectrum(
+        np.concatenate([[0.9 * gram.PD_FLOOR], 10 * gram.PD_FLOOR * np.ones(n - 1)]), seed=n
+    )
+    assert oracles.pd_guard_eig(under, 0.0) is True
+    assert gram.guarded_solve(under, rhs) is None
 
 
 @pytest.mark.parametrize("m", [8, 1000, 32768])

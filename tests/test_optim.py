@@ -208,7 +208,10 @@ def test_solve_gram_guard_matches_eigenvalue_oracle(margin, damping):
             ng.optim._solve_gram(G, rhs, damping)
     else:
         z = ng.optim._solve_gram(G, rhs, damping)
-        assert np.array_equal(z, np.linalg.solve(G + damping * np.eye(8), rhs))
+        damped = G + damping * np.eye(8)
+        expected = oracles.eig_solve(damped, rhs)
+        err = np.abs(z - expected).max()
+        assert err <= 1e-14 * np.linalg.cond(damped) * np.abs(expected).max()
 
 
 def test_ngd_cg_step_matches_exact_step():
@@ -445,6 +448,21 @@ def test_train_divergence_detection():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
         train(p, ds, cfg)
     assert err.value.step is not None
+
+
+@pytest.mark.parametrize("nu, label_scale", [(1e300, 1.0), (1.0, 1e200)])
+def test_train_non_finite_residual_norm_diverges(nu, label_scale):
+    # outputs and weights stay finite, but ||u - y||^2 overflows: the
+    # initial residual norm is inf, which is divergence at step 0
+    base = synth_sphere(6, 3, seed=3)
+    ds = ng.Dataset(base.X, label_scale * base.y)
+    p = init_network(8, 3, nu=nu, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow warning escapes
+        warnings.filterwarnings("ignore", "targets reach", UserWarning)
+        with pytest.raises(DivergenceError, match="at step 0: residual norm is inf") as err:
+            train(p, ds, OptimizerConfig(method="ngd_exact", eta=0.5, max_steps=3))
+    assert err.value.step == 0
 
 
 def test_train_gd_has_no_predicted_bound():

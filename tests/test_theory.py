@@ -253,3 +253,11 @@ def test_overparam_requirement_closed_form():
         overparam_requirement(8, 0.5, -1.0, 0.1)
     with pytest.raises(ValueError, match="delta"):
         overparam_requirement(8, 0.5, 1.0, 1.0)
+
+
+def test_overparam_requirement_beyond_float_range():
+    # nu**2 underflows to 0 or overflows: the width comes from its logarithm
+    assert overparam_requirement(16, 0.25, 1e-300, 0.1) == math.inf
+    assert overparam_requirement(16, 0.25, 1e200, 0.1) == 0.0
+    # nu**2 = inf against lambda0_hat**4 = 0: 16^4 / (1e400 1e-400 1e-3)
+    assert overparam_requirement(16, 1e-100, 1e200, 0.1) == pytest.approx(6.5536e7)
