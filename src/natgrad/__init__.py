@@ -52,8 +52,6 @@ from .network import (
     activation_pattern,
     forward,
     jacobian,
-    load_params,
-    save_params,
 )
 from .network import init as init_network
 from .optim import (
@@ -120,7 +118,6 @@ __all__ = [
     "limit_weights",
     "limiting_gram",
     "load_csv",
-    "load_params",
     "logcosh_loss",
     "mc_limiting_gram",
     "min_eig",
@@ -135,7 +132,6 @@ __all__ = [
     "pre_activation_gram",
     "rate_predictor",
     "save_csv",
-    "save_params",
     "spectrum",
     "squared_loss",
     "synth_sphere",

@@ -10,10 +10,11 @@ product of X X^T and S S^T / m, which is how it is computed here, from
 the factored Jacobian: finite_gram is the one J J^T in the package, and
 coactivation forms every count product S S^T (K-FAC's too).  Every
 builder returns the n x n array itself.  guarded_solve is the one PD
-guard and direct solve, with one Cholesky factor reused by the solve: the
-output Gram, both K-FAC factors and G_inf go through it.  spectrum is
-the symmetry-checked eigenvalue solve that every other module's
-eigenvalues go through (min_eig reads its bottom end).
+guard and direct solve: the guard's Cholesky factor solves, with one
+refinement step, and a matrix too near the floor for that step is solved
+by LU.  The output Gram, both K-FAC factors and G_inf go through it.
+spectrum is the symmetry-checked eigenvalue solve that every other
+module's eigenvalues go through (min_eig reads its bottom end).
 Spectral helpers include the Hadamard-product eigenvalue bounds relating
 the factors' spectra to the product's.
 """
@@ -30,8 +31,7 @@ SYMMETRY_TOL = 1e-9
 PD_FLOOR = 1e-12  # lambda_min (+ damping) a matrix needs to count as positive definite
 FLOAT32_EXACT_LIMIT = 2**24  # float32 represents every integer of smaller magnitude
 SOLVE_PANEL = 64  # rows per panel of guarded_solve's triangular substitutions
-REFINE_TOL = math.sqrt(np.finfo(float).eps)  # guarded_solve's error estimate, relative to x
-TINY = np.finfo(float).tiny  # smallest positive normal float
+REFINE_TOL = math.sqrt(np.finfo(float).eps)  # guarded_solve's largest accepted |z| / |x|
 
 
 def limiting_gram(ds: Dataset) -> np.ndarray:
@@ -147,12 +147,10 @@ def guarded_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     L is the one factorization, reused by the solve.  The substitution
     solve x = (L L^T)^-1 rhs is off by about q = PD_FLOOR / (lambda_min -
     PD_FLOOR); z = (L L^T)^-1 (rhs - A x) is that error to within a factor
-    1 + q, so once z is below REFINE_TOL |x| the refined x + z is returned,
-    its error shrunk by q again.  For lambda_min well above the floor that
-    is at once: one product with A.  Otherwise conjugate-gradient steps on
-    A, preconditioned by (L L^T)^-1, run first; the preconditioned matrix
-    I + PD_FLOOR (L L^T)^-1 has its eigenvalues within q of 1, so a few
-    steps do.  Every column of rhs takes its own step lengths.  A is never
+    1 + q, so when z is below REFINE_TOL |x| the refined x + z is returned,
+    its error shrunk by q again: one refinement step, one product with A.
+    A larger z, lambda_min within about PD_FLOOR / REFINE_TOL, means the
+    step has not converged, and A is solved by LU instead.  A is never
     written.
     """
     n = A.shape[0]
@@ -164,27 +162,10 @@ def guarded_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         return None
     precondition = _cholesky_substitution(L)
     x = precondition(rhs)
-    r = rhs - A @ x
-    z = precondition(r)
-    p = rz = None
-    for _ in range(n + 1):  # n steps end CG in exact arithmetic
-        if np.vdot(z, z) <= REFINE_TOL**2 * np.vdot(x, x):
-            break
-        # + TINY: a column already solved exactly has r = z = p = 0 and
-        # takes a 0 step; any other denominator is unchanged by it
-        rz_last, rz = rz, _column_dots(r, z)
-        p = z if p is None else z + rz / (rz_last + TINY) * p
-        Ap = A @ p
-        alpha = rz / (_column_dots(p, Ap) + TINY)
-        x += alpha * p
-        r -= alpha * Ap
-        z = precondition(r)
-    return x + z
-
-
-def _column_dots(a: np.ndarray, b: np.ndarray):
-    """a_j . b_j for each column j of an n x k pair; a scalar for vectors."""
-    return np.einsum("i...,i...->...", a, b)
+    z = precondition(rhs - A @ x)
+    if np.vdot(z, z) <= REFINE_TOL**2 * np.vdot(x, x):
+        return x + z
+    return np.linalg.solve(A, rhs)
 
 
 def _cholesky_substitution(L: np.ndarray):

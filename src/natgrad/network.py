@@ -18,7 +18,6 @@ activation_pattern(p, X) gives S alone.  Both take the tie rule
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -157,23 +156,6 @@ def jacobian(p: NetworkParams, X: np.ndarray) -> JacobianView:
     JacobianView(X, S, p.a) directly."""
     X = _check_inputs(p, X)
     return JacobianView(X=X, S=activation_pattern(p, X), a=p.a)
-
-
-def save_params(p: NetworkParams, path) -> None:
-    """Checkpoint to an .npz archive (arrays w, w0, a; scalars nu, seed)."""
-    np.savez(Path(path), w=p.w, w0=p.w0, a=p.a, nu=np.float64(p.nu), seed=np.int64(p.seed))
-
-
-def load_params(path) -> NetworkParams:
-    """Load a checkpoint written by save_params."""
-    with np.load(Path(path)) as archive:
-        return NetworkParams(
-            w=archive["w"],
-            a=archive["a"],
-            nu=float(archive["nu"]),
-            w0=archive["w0"],
-            seed=int(archive["seed"]),
-        )
 
 
 def _active(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

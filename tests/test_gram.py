@@ -1,6 +1,10 @@
 """Gram matrices: factored finite form, closed-form limit, MC agreement."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from natgrad import (
@@ -104,7 +108,9 @@ def test_guarded_solve_matches_eigen_oracle(n, cols):
     # PD_FLOOR / (lambda_min - PD_FLOOR) along the bottom eigenvector: a
     # ninth at lambda_min = 10 PD_FLOOR, five times at 1.2 PD_FLOOR.  Those
     # matrices are scaled near the floor with cond(A) = 4, so roundoff
-    # cannot hide the shift; just under the floor the guard returns None.
+    # cannot hide the shift; one refinement step does not converge there,
+    # and the LU solve they get is as accurate as cond 4 allows.  Just
+    # under the floor the guard returns None.
     rng = np.random.default_rng(n)
     rhs = rng.standard_normal(n if cols is None else (n, cols))
     well = spd_with_spectrum(np.geomspace(1e-2, 10.0, n), seed=n)
@@ -118,13 +124,73 @@ def test_guarded_solve_matches_eigen_oracle(n, cols):
         assert oracles.pd_guard_eig(near, 0.0) is False
         expected = oracles.eig_solve(near, rhs)
         err = np.abs(gram.guarded_solve(near, rhs) - expected).max()
-        assert err <= 1e-6 * np.abs(expected).max()
+        assert err <= 1e-12 * np.abs(expected).max()
 
     under = spd_with_spectrum(
         np.concatenate([[0.9 * gram.PD_FLOOR], 10 * gram.PD_FLOOR * np.ones(n - 1)]), seed=n
     )
     assert oracles.pd_guard_eig(under, 0.0) is True
     assert gram.guarded_solve(under, rhs) is None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 130),
+    log_floor_multiple=st.floats(math.log10(0.5), 12.0),
+    log_cond=st.floats(0.0, 8.0),
+    cols=st.sampled_from([None, 3]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_guarded_solve_agrees_with_eigen_oracle(n, log_floor_multiple, log_cond, cols, seed):
+    # n spans the 64-row panel edges, lambda_min runs from half the floor
+    # to 1e12 times it, and cond(A) up to 1e8 keeps the guard's roundoff
+    # far below the 1% band around the floor that is left out
+    floor_multiple = 10.0**log_floor_multiple
+    assume(abs(floor_multiple - 1.0) > 0.01)
+    lam_min = floor_multiple * gram.PD_FLOOR
+    A = spd_with_spectrum(lam_min * np.geomspace(1.0, 10.0**log_cond, n), seed=seed)
+    rhs = np.random.default_rng(seed).standard_normal(n if cols is None else (n, cols))
+    got = gram.guarded_solve(A, rhs)
+    assert (got is None) == oracles.pd_guard_eig(A, 0.0)
+    if got is not None:
+        expected = oracles.eig_solve(A, rhs)
+        err = np.abs(got - expected).max()
+        assert err <= 1e-13 * np.linalg.cond(A) * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [16, 50, 300])
+def test_guarded_solve_within_a_percent_of_the_floor_is_as_accurate_as_lu(n):
+    # cond(A) about 1e12: the refined substitution solve is far off here,
+    # and the result must be no worse than a plain LU solve's
+    A = spd_with_spectrum(np.geomspace(1.01 * gram.PD_FLOOR, 1.0, n), seed=n)
+    rhs = np.random.default_rng(n).standard_normal((n, 3))
+    expected = oracles.eig_solve(A, rhs)
+    err = np.abs(gram.guarded_solve(A, rhs) - expected).max()
+    assert err <= 2.0 * np.abs(np.linalg.solve(A, rhs) - expected).max()
+
+
+def test_guarded_solve_factors_once_on_a_well_conditioned_matrix(monkeypatch):
+    # one Cholesky factor and no LU of A: np.linalg.solve sees only the
+    # diagonal blocks of the factor, at most SOLVE_PANEL rows each
+    n = 200
+    A = spd_with_spectrum(np.geomspace(1e-2, 10.0, n), seed=0)
+    rhs = np.random.default_rng(0).standard_normal((n, 3))
+    calls = {"cholesky": 0, "solve_rows": []}
+    cholesky, solve = np.linalg.cholesky, np.linalg.solve
+
+    def counted_cholesky(a):
+        calls["cholesky"] += 1
+        return cholesky(a)
+
+    def counted_solve(a, b):
+        calls["solve_rows"].append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    assert gram.guarded_solve(A, rhs) is not None
+    assert calls["cholesky"] == 1
+    assert calls["solve_rows"] and max(calls["solve_rows"]) <= gram.SOLVE_PANEL
 
 
 @pytest.mark.parametrize("m", [8, 1000, 32768])

@@ -1,4 +1,4 @@
-"""ReLU network forward map, Jacobian factors, and checkpointing."""
+"""ReLU network forward map and Jacobian factors."""
 import numpy as np
 import pytest
 
@@ -9,8 +9,6 @@ from natgrad import (
     forward,
     init_network,
     jacobian,
-    load_params,
-    save_params,
     synth_sphere,
 )
 
@@ -127,15 +125,3 @@ def test_jacobian_view_shape_properties(small_net, inputs):
     jv = jacobian(small_net, inputs)
     assert (jv.n, jv.m, jv.d) == (7, 12, 5)
     assert jv.S.shape == (7, 12) and jv.scale.shape == (12,)
-
-
-def test_checkpoint_round_trip(tmp_path, small_net):
-    moved = small_net.with_weights(small_net.w + 0.25)
-    path = tmp_path / "net.npz"
-    save_params(moved, path)
-    back = load_params(path)
-    assert np.array_equal(back.w, moved.w)
-    assert np.array_equal(back.w0, moved.w0)
-    assert np.array_equal(back.a, moved.a)
-    assert back.nu == moved.nu
-    assert back.seed == moved.seed
