@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    gen-data    draw a unit-sphere dataset and write it as CSV
+    gen-data    write a config's dataset as CSV
     forster     transform a dataset so X^T X = (n/d) I with unit-norm rows
     gram        print the spectrum of the limiting Gram of a dataset
     train       run preprocess -> init -> train -> condition check, write artifacts
@@ -13,12 +13,12 @@ Subcommands:
 
 Configuration is a JSON object with blocks data, preprocess, model,
 optimizer, output, sweeps (see SCHEMA and parse_config).  Every subcommand
-that reads a dataset takes it from --config (compare takes several), and
-only train runs a config's sweeps: compare, verify and linearized refuse a
-config that has one.  Scalar flags override config fields (--seed beats
-model.seed, --out beats output.dir), and every override is recorded in the
-manifest.  Identical configuration produces byte-identical artifacts; the
-only timestamp lives in manifest.json.
+that makes a dataset takes it from --config (compare takes several) through
+build_dataset, and only train runs a config's sweeps: compare, verify and
+linearized refuse a config that has one.  Scalar flags override config
+fields (--seed beats model.seed, --out beats output.dir), and every
+override is recorded in the manifest.  Identical configuration produces
+byte-identical artifacts; the only timestamp lives in manifest.json.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 failure, 3 I/O or file-format error.  train runs every cell before it
@@ -480,24 +480,20 @@ def _load_one_cell(path, command: str) -> ExperimentConfig:
 def cmd_gen_data(args) -> None:
     if not args.out:
         raise ConfigError("gen-data: --out is required")
-    seed = 0 if args.seed is None else args.seed
-    ds = data_mod.synth_sphere(args.n, args.d, seed, args.target_model)
+    if not args.config:
+        raise ConfigError("gen-data: --config is required")
+    cfg = load_config(args.config)
+    ds, _ = build_dataset(cfg)
     path = Path(args.out) / "data.csv"
     _atomic_via(lambda p: data_mod.save_csv(ds, p), path)
-    rep = data_mod.validate(ds)
-    print(
-        _dump_json(
-            {
-                "path": str(path),
-                "n": ds.n,
-                "d": ds.d,
-                "seed": seed,
-                "target_model": args.target_model,
-                "validation": dataclasses.asdict(rep),
-            }
-        ),
-        end="",
-    )
+    doc = {
+        "path": str(path),
+        "n": ds.n,
+        "d": ds.d,
+        "data": cfg.data,
+        "validation": dataclasses.asdict(data_mod.validate(ds)),
+    }
+    print(_dump_json(doc), end="")
 
 
 def cmd_forster(args) -> None:
@@ -808,17 +804,9 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, metavar="N", help="seed override")
     quiet.add_argument("--quiet", action="store_true", help="suppress informational output")
 
-    p = sub.add_parser(
-        "gen-data", parents=[out, seed], help="write a synthetic unit-sphere dataset"
-    )
-    p.add_argument("--n", type=int, default=16, help="number of examples")
-    p.add_argument("--d", type=int, default=8, help="input dimension")
-    p.add_argument(
-        "--target-model",
-        choices=data_mod.TARGET_MODELS,
-        default="random_pm1",
-        help="how targets are generated",
-    )
+    # --out is checked before --config, so a bare gen-data names --out first
+    p = sub.add_parser("gen-data", parents=[out], help="write a config's dataset as CSV")
+    p.add_argument("--config", metavar="PATH", help="experiment config JSON")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser(
@@ -872,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+def _show_warning(message) -> None:
     """A library warning on the CLI's stderr as one natgrad: line, without
     the library's file path and source line."""
     print(f"natgrad: warning: {message}", file=sys.stderr)
@@ -886,8 +874,9 @@ def main(argv=None) -> int:
         # numerical failures, so usage errors exit 1 instead
         return 1 if exc.code else 0
     try:
-        with warnings.catch_warnings():
-            warnings.showwarning = _show_warning
+        # library warnings are held until the command succeeds, so that a
+        # failure is its one error line alone; each distinct one prints once
+        with warnings.catch_warnings(record=True) as caught:
             args.func(args)
     except ConfigError as exc:
         print(f"natgrad: config error: {exc}", file=sys.stderr)
@@ -904,6 +893,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"natgrad: error: {exc}", file=sys.stderr)
         return 1
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        _show_warning(message)
     return 0
 
 

@@ -125,6 +125,8 @@ def mc_limiting_gram(
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if chunk < 1:
+        raise ValueError(f"need chunk >= 1, got {chunk}")
     rng = np.random.default_rng(seed)
     counts = np.zeros((ds.n, ds.n))
     done = 0

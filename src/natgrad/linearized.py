@@ -70,7 +70,7 @@ def outputs_at(lm: LinearizedModel, w: np.ndarray) -> np.ndarray:
 
 def gd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
     """Gradient-flow weights at time t, via eigendecomposition of G."""
-    if t < 0:
+    if not t >= 0:  # NaN fails; t = inf is the limit
         raise ValueError(f"time must be nonnegative, got {t}")
     lam, V = lm.eig
     rho0 = lm.y - lm.u0
@@ -80,7 +80,7 @@ def gd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
 
 def ngd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
     """Natural-gradient-flow weights at time t."""
-    if t < 0:
+    if not t >= 0:  # NaN fails; t = inf is the limit
         raise ValueError(f"time must be nonnegative, got {t}")
     lam, V = lm.eig
     rho0 = lm.y - lm.u0

@@ -133,12 +133,12 @@ class OptimizerConfig:
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if self.damping is not None and not (np.isfinite(self.damping) and self.damping >= 0):
             raise ValueError(f"damping must be None or >= 0, got {self.damping}")
-        if self.cg_iters < 1:
-            raise ValueError(f"cg_iters must be >= 1, got {self.cg_iters}")
-        if self.cg_tol <= 0:
-            raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        for name in ("cg_iters", "max_steps"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0):
+            raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
         if self.method in ("gd", "kfac") and self.loss.kind != "squared":
             raise ValueError(f"method {self.method!r} supports only the squared loss")
 

@@ -72,7 +72,7 @@ def check_conditions(p: NetworkParams, ds: Dataset, kappa: float = 1.0) -> Condi
     failed, sqrt(lambda_0) is taken as NaN, and so the drift constant,
     both radii and max_eta_ngd come back NaN and condition 2 False.
     """
-    if kappa < 1.0:
+    if not kappa >= 1.0:  # also refuses NaN
         raise ValueError(f"kappa = L/mu must be >= 1, got {kappa}")
 
     XXt = ds.X @ ds.X.T

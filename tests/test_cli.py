@@ -1,14 +1,20 @@
 """Command-line driver: subcommands, exit codes, artifact contracts."""
 import argparse
+import contextlib
+import io
 import json
+import math
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import natgrad as ng
 from natgrad.cli import build_dataset, build_parser, main, parse_config
@@ -51,7 +57,7 @@ def test_version_flag(capsys):
 # every option each subcommand takes; their count is the CLI's number of
 # settable values
 CLI_FLAGS = {
-    "gen-data": ("--d", "--n", "--out", "--seed", "--target-model"),
+    "gen-data": ("--config", "--out"),
     "forster": ("--config", "--max-iter", "--out", "--quiet", "--tol"),
     "gram": ("--config", "--export"),
     "train": ("--config", "--out", "--quiet", "--seed"),
@@ -73,7 +79,7 @@ def test_cli_flag_table():
         for name, sub in commands.choices.items()
     }
     assert table == CLI_FLAGS
-    assert sum(len(flags) for flags in table.values()) == 30
+    assert sum(len(flags) for flags in table.values()) == 27
 
 
 def test_usage_errors_exit_one(capsys):
@@ -89,6 +95,7 @@ def test_usage_errors_exit_one(capsys):
         ("gram", "--out"), ("gram", "--seed"), ("gram", "--quiet"),
         ("forster", "--seed"), ("report", "--seed"),
         ("gen-data", "--quiet"), ("verify", "--quiet"),
+        *(("gen-data", flag) for flag in ("--seed", "--n", "--d", "--target-model")),
         *((command, flag) for command in ("gram", "forster")
           for flag in ("--data", "--label-column", "--normalize")),
     ],
@@ -102,7 +109,7 @@ def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, command, flag):
         "gram": ["--config", cfgp],
         "forster": ["--config", cfgp, "--out", str(tmp_path / "f")],
         "report": ["--out", str(run_dir)],
-        "gen-data": ["--out", str(tmp_path / "g")],
+        "gen-data": ["--config", cfgp, "--out", str(tmp_path / "g")],
         "verify": ["--config", cfgp],
     }[command]
     if command == "report":
@@ -121,9 +128,11 @@ def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, command, flag):
 
 def test_gen_data_writes_valid_csv(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(["gen-data", "--n", "10", "--d", "5", "--seed", "3", "--out", str(out)]) == 0
+    cfgp = write_config(tmp_path, {"data": {"synth": {"n": 10, "d": 5, "seed": 3}}})
+    assert main(["gen-data", "--config", cfgp, "--out", str(out)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["n"] == 10 and doc["d"] == 5 and doc["seed"] == 3
+    assert doc["n"] == 10 and doc["d"] == 5
+    assert doc["data"] == {"synth": {"n": 10, "d": 5, "seed": 3, "target_model": "random_pm1"}}
     assert doc["validation"]["passed"] is True
     ds = ng.load_csv(out / "data.csv")
     assert ds.n == 10 and ds.d == 5
@@ -132,20 +141,62 @@ def test_gen_data_writes_valid_csv(tmp_path, capsys):
 
 def test_gen_data_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
-    main(["gen-data", "--seed", "5", "--out", str(a)])
-    main(["gen-data", "--seed", "5", "--out", str(b)])
+    cfgp = write_config(tmp_path, {"data": {"synth": {"seed": 5}}})
+    main(["gen-data", "--config", cfgp, "--out", str(a)])
+    main(["gen-data", "--config", cfgp, "--out", str(b)])
     capsys.readouterr()
     assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
 
 
-def test_gen_data_requires_out(capsys):
+@pytest.mark.parametrize("forster", [False, True])
+def test_gen_data_writes_the_data_train_writes(tmp_path, capsys, forster):
+    # the one dataset path: gen-data writes build_dataset's rows, as train
+    # does, and reads only the data and preprocess blocks of any config
+    cfg = {**base_config(tmp_path / "run"), "preprocess": {"forster": forster},
+           "sweeps": {"eta": [0.25, 0.5]}}
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["gen-data", "--config", cfgp, "--out", str(tmp_path / "g")]) == 0
+    assert main(["train", "--config", cfgp, "--quiet"]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "g" / "data.csv").read_bytes()
+    assert written == (tmp_path / "run" / "data.csv").read_bytes()
+
+
+def test_gen_data_requires_out(tmp_path, capsys):
     assert main(["gen-data"]) == 1
     assert "--out is required" in capsys.readouterr().err
+    assert main(["gen-data", "--out", str(tmp_path / "g")]) == 1
+    assert capsys.readouterr().err == "natgrad: config error: gen-data: --config is required\n"
+    assert not (tmp_path / "g").exists()
 
 
 def test_gen_data_rejects_tiny_n(tmp_path, capsys):
-    assert main(["gen-data", "--n", "1", "--out", str(tmp_path)]) == 1
-    assert "natgrad: error" in capsys.readouterr().err
+    cfgp = write_config(tmp_path, {"data": {"synth": {"n": 1}}})
+    assert main(["gen-data", "--config", cfgp, "--out", str(tmp_path / "g")]) == 1
+    assert "natgrad: config error: config.data.synth.n: must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_gen_data_warns_once_about_large_targets(tmp_path, capsys):
+    # the rows are validated for the file and again for the printed margins
+    ds = ng.synth_sphere(8, 4, seed=0)
+    ng.save_csv(ng.Dataset(ds.X, 100.0 * ds.y), tmp_path / "big.csv")
+    cfgp = write_config(tmp_path, {"data": {"path": str(tmp_path / "big.csv")}})
+    assert main(["gen-data", "--config", cfgp, "--out", str(tmp_path / "g")]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["validation"]["max_abs_target"] == 100.0
+    assert captured.err == "natgrad: warning: targets reach |y| = 100; expected order one\n"
+
+
+def test_gen_data_refuses_data_that_fails_validation(tmp_path, capsys):
+    # 2000 points on the unit circle: some pair is closer than the
+    # parallel-rows tolerance, so no file is written
+    cfgp = write_config(tmp_path, {"data": {"synth": {"n": 2000, "d": 2, "seed": 0}}})
+    assert main(["gen-data", "--config", cfgp, "--out", str(tmp_path / "g")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("natgrad: error: dataset failed validation: ")
+    assert not (tmp_path / "g").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -989,3 +1040,88 @@ def test_module_invocation():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# edge-case configs through main, in process
+
+
+@st.composite
+def edge_runs(draw):
+    """(command, config, dataset written as CSV or None): train or verify,
+    each method, nu at 1e-300, 1 and 1e150, m from 1, d above n, and CSV
+    rows with a duplicate, an antipodal pair or labels near 1e200."""
+    n, d = draw(st.integers(2, 6)), draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**16))
+    rows = draw(st.sampled_from(["synth", "plain", "duplicate", "antipodal"]))
+    cfg = {
+        "data": {"synth": {"n": n, "d": d, "seed": seed}},
+        "preprocess": {"forster": draw(st.booleans())},
+        "model": {
+            "m": draw(st.sampled_from([1, 2, 16])),
+            "nu": draw(st.sampled_from([1e-300, 1.0, 1e150])),
+            "seed": seed,
+        },
+        "optimizer": {
+            "method": draw(st.sampled_from(["gd", "ngd_exact", "ngd_cg", "kfac"])),
+            "eta": draw(st.sampled_from([0.5, 1.0])),
+            "damping": draw(st.sampled_from([0.0, None])),
+            "max_steps": 3,
+            "track_lambda_min": draw(st.booleans()),
+            "track_jacobian_drift": draw(st.booleans()),
+        },
+    }
+    if rows == "synth":
+        return draw(st.sampled_from(["train", "verify"])), cfg, None
+    ds = ng.synth_sphere(n, d, seed)
+    X = ds.X.copy()
+    if rows != "plain":
+        X[-1] = X[0] if rows == "duplicate" else -X[0]
+    y = ds.y * draw(st.sampled_from([1.0, 1.7e200]))
+    return draw(st.sampled_from(["train", "verify"])), cfg, ng.Dataset(X, y)
+
+
+def finite_float(text):
+    value = float(text)
+    assert math.isfinite(value), f"non-finite number {text!r}"
+    return value
+
+
+def assert_finite_artifact(path):
+    """Every number in a JSON or CSV artifact is finite; a missing one is
+    null or an empty cell."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        json.loads(text, parse_float=finite_float, parse_constant=finite_float)
+        return
+    for line in text.splitlines()[1:]:
+        for cell in line.split(","):
+            if cell:
+                finite_float(cell)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(edge_runs())
+def test_edge_configs_succeed_with_finite_artifacts_or_fail_in_one_line(run):
+    command, cfg, ds = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if ds is not None:
+            ng.save_csv(ds, tmp / "data_in.csv")
+            cfg = {**cfg, "data": {"path": str(tmp / "data_in.csv")}}
+        (tmp / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        out_dir = tmp / "out"
+        argv = [command, "--config", str(tmp / "cfg.json"), "--out", str(out_dir)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + (["--quiet"] if command == "train" else []))
+        if code == 0:
+            for path in sorted(out_dir.iterdir()):
+                assert_finite_artifact(path)
+            if command == "verify":
+                json.loads(stdout.getvalue(), parse_float=finite_float,
+                           parse_constant=finite_float)
+        else:
+            assert code in (1, 2, 3)
+            err = stderr.getvalue()
+            assert err.endswith("\n") and len(err.splitlines()) == 1, err

@@ -262,6 +262,8 @@ def test_mc_estimate_chunk_invariant(ds):
 def test_mc_estimate_rejects_bad_sample_count(ds):
     with pytest.raises(ValueError, match="samples"):
         mc_limiting_gram(ds, nu=1.0, samples=0, seed=0)
+    with pytest.raises(ValueError, match="chunk"):  # each pass would draw nothing
+        mc_limiting_gram(ds, nu=1.0, samples=10, seed=0, chunk=0)
 
 
 def test_eig_helpers():

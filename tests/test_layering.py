@@ -256,3 +256,18 @@ def test_third_party_test_imports_are_declared():
     third_party = imported - set(sys.stdlib_module_names) - {p.stem for p in tests} - {"natgrad"}
     assert third_party, "no third-party import found; the scan is broken"
     assert third_party <= declared, f"undeclared test imports: {sorted(third_party - declared)}"
+
+
+def test_cli_makes_datasets_in_build_dataset_only():
+    """In cli, data.synth_sphere and data.load_csv are called inside
+    build_dataset only, so every subcommand's dataset is checked by the
+    same validation and preprocessing."""
+    callers = [
+        (fn.name, node.func.attr)
+        for fn in ast.walk(parse("cli"))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("synth_sphere", "load_csv")
+    ]
+    assert sorted(callers) == [("build_dataset", "load_csv"), ("build_dataset", "synth_sphere")]

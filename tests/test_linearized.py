@@ -160,6 +160,12 @@ def test_t_infinity_kills_every_mode(lm, J):
     assert np.exp(-horizon) <= 1e-12 * (1 + 1e-9)
 
 
+def test_flows_at_infinite_time_are_the_limit(lm):
+    limit = limit_weights(lm)
+    np.testing.assert_allclose(gd_trajectory(lm, np.inf), limit, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(ngd_trajectory(lm, np.inf), limit)
+
+
 def test_t_infinity_scales_with_slow_modes():
     p = init_network(6, 3, nu=1.0, seed=2)
     jv = jacobian(p, synth_sphere(4, 3, seed=2).X)

@@ -111,6 +111,30 @@ def test_optimizer_config_validation():
             OptimizerConfig(method=method, loss=logcosh_loss())
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda p, ds, lm: ng.check_conditions(p, ds, kappa=math.nan), "kappa"),
+        (lambda p, ds, lm: ng.gd_trajectory(lm, math.nan), "time"),
+        (lambda p, ds, lm: ng.ngd_trajectory(lm, math.nan), "time"),
+        (lambda p, ds, lm: OptimizerConfig(cg_tol=math.nan), "cg_tol"),
+        (lambda p, ds, lm: OptimizerConfig(cg_tol=math.inf), "cg_tol"),
+        (lambda p, ds, lm: OptimizerConfig(max_steps=2.5), "max_steps"),
+        (lambda p, ds, lm: OptimizerConfig(cg_iters=2.5), "cg_iters"),
+    ],
+    ids=["kappa-nan", "gd-t-nan", "ngd-t-nan", "cg_tol-nan", "cg_tol-inf",
+         "max_steps-fraction", "cg_iters-fraction"],
+)
+def test_range_checks_refuse_non_finite_and_fractional_values(call, name):
+    # each of these values used to pass its check and come back as NaN, as
+    # a stagnated or one-iteration solve, or as a TypeError inside train()
+    ds = synth_sphere(4, 3, seed=0)
+    p = init_network(8, 3, nu=1.0, seed=0)
+    lm = ng.LinearizedModel(ng.jacobian(p, ds.X), p.w, forward(p, ds.X)[0], ds.y)
+    with pytest.raises(ValueError, match=name):
+        call(p, ds, lm)
+
+
 def test_optimizer_config_defaults():
     cfg = OptimizerConfig()
     assert cfg.method == "ngd_exact"
