@@ -310,7 +310,10 @@ def build_dataset(
 ) -> tuple[Dataset, forster_mod.ForsterResult | None]:
     """Materialize the config's dataset, with its preprocessing applied and
     validated (unit-norm, non-parallel rows; ValueError otherwise).  raw
-    gives the rows as read, for forster, which normalizes its own input."""
+    gives the rows as read, for forster, which normalizes its own input.
+    The Forster transform is an invertible linear map followed by row
+    normalization, so it keeps parallel rows parallel: the normalized rows
+    are checked before its iterations as well as after."""
     if "path" in cfg.data:
         ds = data_mod.load_csv(
             cfg.data["path"],
@@ -324,6 +327,7 @@ def build_dataset(
         return ds, None
     result = None
     if cfg.preprocess["forster"]:
+        data_mod.require_valid(Dataset(forster_mod.normalize_rows(ds.X), ds.y))
         result = forster_mod.forster_transform(ds.X)
         ds = Dataset(result.Z, ds.y)
     data_mod.require_valid(ds)
@@ -369,7 +373,8 @@ def _run_cell(
     if "eta" in cell:
         ocfg = dataclasses.replace(ocfg, eta=cell["eta"])
     trace = optim.train(_init_params({**cfg.model, **cell}, ds), ds, ocfg)
-    return trace, theory.check_conditions(trace.final_params, ds, kappa=ocfg.loss.kappa)
+    report = theory.check_conditions(trace.final_params, ds, kappa=ocfg.loss.kappa, trace=trace)
+    return trace, report
 
 
 def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) -> None:

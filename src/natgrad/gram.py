@@ -14,9 +14,11 @@ guard and direct solve: the guard's Cholesky factor solves, with one
 refinement step, and a matrix too near the floor for that step is solved
 by LU.  The output Gram, both K-FAC factors and G_inf go through it.
 spectrum is the symmetry-checked eigenvalue solve that every other
-module's eigenvalues go through (min_eig reads its bottom end).
-Spectral helpers include the Hadamard-product eigenvalue bounds relating
-the factors' spectra to the product's.
+module's eigenvalues go through (min_eig reads its bottom end); the one
+eigenvalue found otherwise is the Jacobian drift's top one, by Lanczos
+above LANCZOS_MIN_N rows, with eigvalsh at or below it and as the
+fallback.  Spectral helpers include the Hadamard-product eigenvalue bounds
+relating the factors' spectra to the product's.
 """
 from __future__ import annotations
 
@@ -32,6 +34,9 @@ PD_FLOOR = 1e-12  # lambda_min (+ damping) a matrix needs to count as positive d
 FLOAT32_EXACT_LIMIT = 2**24  # float32 represents every integer of smaller magnitude
 SOLVE_PANEL = 64  # rows per panel of guarded_solve's triangular substitutions
 REFINE_TOL = math.sqrt(np.finfo(float).eps)  # guarded_solve's largest accepted |z| / |x|
+LANCZOS_MIN_N = 256  # at or below this many rows eigvalsh is as fast as Lanczos
+LANCZOS_MAX_ITERS = 64  # Lanczos steps before falling back to eigvalsh
+LANCZOS_TOL = 1e-13  # accepted Ritz residual bound, relative to the Ritz value
 
 
 def limiting_gram(ds: Dataset) -> np.ndarray:
@@ -99,12 +104,50 @@ def jacobian_drift(XXt: np.ndarray, S: np.ndarray, S0: np.ndarray) -> float:
     XXt is X X^T; S and S0 are the 0/1 (or bool) activation patterns of
     J and J0.  J - J0 is the Jacobian factor pair (X, D a / sqrt(m)) with
     D = S - S0 in {-1, 0, 1}, so (J - J0)(J - J0)^T = (X X^T) o (D D^T) / m
-    and the spectral norm is the square root of its top eigenvalue.  The
-    counts D D^T are exact, so an unchanged pattern gives exactly 0.
+    and the spectral norm is the square root of its top eigenvalue, found
+    by _top_eigenvalue.  The counts D D^T are exact, so an unchanged
+    pattern gives exactly 0.
     """
     D = np.subtract(S, S0, dtype=np.float32)  # exact: entries in {-1, 0, 1}
-    top = float(np.linalg.eigvalsh(pattern_gram(XXt, D))[-1])
-    return math.sqrt(max(0.0, top))
+    return math.sqrt(max(0.0, _top_eigenvalue(pattern_gram(XXt, D))))
+
+
+def _top_eigenvalue(M: np.ndarray) -> float:
+    """lambda_max of a symmetric n x n matrix.
+
+    Above LANCZOS_MIN_N rows, by Lanczos with full reorthogonalization
+    (classical Gram-Schmidt, twice) from a fixed random start, so reruns
+    give the same bits.  It stops once the Ritz residual bound
+    |beta_k s_k| of the top Ritz value theta, which bounds the distance from
+    theta to the spectrum, is at most LANCZOS_TOL |theta| (Kuczynski &
+    Wozniakowski 1992 analyse this use).  An invariant subspace (beta_k = 0,
+    as on a zero matrix, whose 0.0 is then exact) stops it too.  Small
+    matrices, and a run that has not stopped after LANCZOS_MAX_ITERS steps,
+    go to eigvalsh.
+    """
+    n = M.shape[0]
+    if n > LANCZOS_MIN_N:
+        steps = min(n, LANCZOS_MAX_ITERS)
+        Q = np.empty((steps, n))  # orthonormal Lanczos vectors, one per row
+        T = np.zeros((steps, steps))  # the tridiagonal projection of M
+        q = np.random.default_rng(0).standard_normal(n)
+        q /= math.sqrt(q @ q)
+        for k in range(steps):
+            Q[k] = q
+            w = M @ q
+            basis = Q[: k + 1]
+            for _ in range(2):
+                h = basis @ w
+                w -= basis.T @ h
+                T[k, k] += h[k]
+            beta = math.sqrt(w @ w)
+            theta, s = np.linalg.eigh(T[: k + 1, : k + 1])
+            if beta * abs(s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
+                return float(theta[-1])
+            if k + 1 < steps:
+                T[k, k + 1] = T[k + 1, k] = beta
+                q = w / beta
+    return float(np.linalg.eigvalsh(M)[-1])
 
 
 def mc_limiting_gram(

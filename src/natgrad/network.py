@@ -13,13 +13,17 @@ forward(p, X) is the one evaluation of an iterate: it forms the
 pre-activations X w^T once and returns both the outputs u and the pattern
 S, so a training step and its diagnostics read the same S.
 activation_pattern(p, X) gives S alone.  Both take the tie rule
-(w_r . x_i = 0 counts as active) from one private helper.
+(w_r . x_i = 0 counts as active) from one private helper.  pack_pattern
+keeps a pattern at one bit per entry, and unpack_pattern gives it back.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+PACK_BLOCK_BYTES = 2**20  # bool bytes per row block that pack_pattern converts
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,31 @@ def activation_pattern(p: NetworkParams, X: np.ndarray) -> np.ndarray:
     X = _check_inputs(p, X)
     Z = X @ p.w.T
     return _active(Z, out=Z)  # in place: no bool temporary
+
+
+def pack_pattern(S: np.ndarray) -> np.ndarray:
+    """The n x m 0/1 pattern S at one bit per entry: np.packbits along the
+    units, n x ceil(m / 8) uint8.  Rows are packed one block at a time, so
+    no n x m temporary is made.
+
+    The result has an anonymous memory map of its own rather than a malloc
+    block: train() keeps it while the run allocates and frees n x m
+    temporaries, and a live block amid those keeps the heap from shrinking:
+    at n = 128, m = 32768 the benchmark's peak RSS read 145 MB with a malloc
+    block and 122 MB with the map."""
+    n, m = S.shape
+    width = -(-m // 8)
+    packed = np.frombuffer(mmap.mmap(-1, n * width), dtype=np.uint8).reshape(n, width)
+    rows = max(1, PACK_BLOCK_BYTES // m)
+    for lo in range(0, n, rows):
+        packed[lo : lo + rows] = np.packbits(S[lo : lo + rows] != 0, axis=1)
+    return packed
+
+
+def unpack_pattern(packed: np.ndarray, m: int) -> np.ndarray:
+    """The pattern that pack_pattern packed, as an n x m uint8 0/1 array:
+    the same counts and drift as the float64 S, at 1/8 of its bytes."""
+    return np.unpackbits(packed, axis=1, count=m)
 
 
 def jacobian(p: NetworkParams, X: np.ndarray) -> JacobianView:

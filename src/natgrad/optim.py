@@ -25,9 +25,13 @@ ConvergenceTrace: per-step residual norm, loss, weight drift from
 initialization, the predicted geometric bound on the squared residual,
 and optional diagnostics.  It evaluates the network once per iterate:
 the outputs and activation pattern from one network.forward call feed
-that iterate's record and diagnostics and the next step.  StepRecord's
-fields are the trace columns, and ConvergenceTrace.summary() is the one
-run summary that every report reuses.
+that iterate's record and diagnostics and the next step.  The trace also
+keeps the run's last activation pattern, and its first when the run
+starts at w0, bit-packed, so that theory.check_conditions reads them
+instead of evaluating the network again.  StepRecord's fields are the
+trace columns, and ConvergenceTrace.summary() is the one run summary that
+every report reuses.  The steps and OptimizerConfig share one range
+check of the step arguments.
 """
 from __future__ import annotations
 
@@ -129,18 +133,31 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if not (np.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if self.damping is not None and not (np.isfinite(self.damping) and self.damping >= 0):
-            raise ValueError(f"damping must be None or >= 0, got {self.damping}")
-        for name in ("cg_iters", "max_steps"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0):
-            raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
+        _check_step_args(self.eta, self.damping, self.cg_iters, self.cg_tol)
+        _check_count("max_steps", self.max_steps)
         if self.method in ("gd", "kfac") and self.loss.kind != "squared":
             raise ValueError(f"method {self.method!r} supports only the squared loss")
+
+
+def _check_step_args(
+    eta: float, damping: float | None = None, cg_iters: int = 100, cg_tol: float = 1e-10
+) -> None:
+    """Raise ValueError unless eta is finite and >= 0, damping None or
+    finite and >= 0, cg_iters an integer >= 1 and cg_tol finite and > 0:
+    the check of OptimizerConfig and of every public step.  The defaults
+    pass, for the steps that take fewer arguments."""
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
+    if damping is not None and not (np.isfinite(damping) and damping >= 0):
+        raise ValueError(f"damping must be None or >= 0, got {damping}")
+    _check_count("cg_iters", cg_iters)
+    if not (np.isfinite(cg_tol) and cg_tol > 0):
+        raise ValueError(f"cg_tol must be finite and positive, got {cg_tol}")
+
+
+def _check_count(name: str, value: int) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +267,7 @@ def gd_step(
     p: NetworkParams, ds: Dataset, eta: float, fwd: Forward | None = None
 ) -> NetworkParams:
     """Plain gradient descent on the mean squared loss: w -= (eta/n) J^T rho."""
+    _check_step_args(eta)
     u, jv = _evaluated(p, ds, fwd)
     return _updated(p, eta / ds.n, jv.grad_matrix(u - ds.y))
 
@@ -283,6 +301,7 @@ def ngd_exact_step(
     Raises SingularMatrixError when the damped Gram is not safely
     positive definite.
     """
+    _check_step_args(eta, damping)
     new_p, _ = _ngd_step(
         p, ds, eta, loss, lambda G, g: (_solve_gram(G, g, damping), True), fwd
     )
@@ -305,6 +324,7 @@ def ngd_cg_step(
     ill-conditioned system shows up as CG stagnation, which train()
     records rather than raising.
     """
+    _check_step_args(eta, damping, cg_iters, cg_tol)
 
     def solve(G, g):
         z, _, converged = cg_solve(_damped(G, damping)[0], g, cg_iters, cg_tol)
@@ -329,6 +349,7 @@ def kfac_step(
     factor S~ S~^T is pseudoinverted only when its guard fails, so a
     rank-deficient activation pattern is handled in the least-squares sense.
     """
+    _check_step_args(eta, damping)
     u, jv = _evaluated(p, ds, fwd)  # S~ = S diag(jv.scale)
     A = gram.pre_activation_gram(jv.S)  # S~ S~^T, from exact counts
     scaled = (u - ds.y)[:, None] * ds.X  # diag(rho) X, n x d
@@ -375,7 +396,10 @@ class ConvergenceTrace:
     """Per-step training record plus the final parameters.
 
     Rows are the states after steps 1..K; the state before the first step
-    is summarized by initial_residual_norm.
+    is summarized by initial_residual_norm.  final_pattern is the
+    activation pattern at final_params and initial_pattern the one at w0,
+    or None when the run did not start at w0; both are
+    network.pack_pattern arrays.
     """
 
     method: str
@@ -383,6 +407,8 @@ class ConvergenceTrace:
     initial_residual_norm: float
     records: tuple[StepRecord, ...]
     final_params: NetworkParams
+    initial_pattern: np.ndarray | None = field(default=None, repr=False)
+    final_pattern: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def final_residual_norm(self) -> float:
@@ -440,12 +466,14 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
     DivergenceError if a residual norm (the initial one included) or the
     weights stop being finite.  A step's SingularMatrixError or
     RankDeficiencyError is raised again as its own type with the step in
-    err.step and in the message.
+    err.step and in the message.  The trace keeps the packed activation
+    patterns of the last iterate and, when p.w equals p.w0, of the first.
     """
     require_valid(ds)
 
     u, S = network.forward(p, ds.X)  # outputs and pattern at the current iterate
     r0 = _residual_norm(u, ds, 0)
+    initial_pattern = network.pack_pattern(S) if np.array_equal(p.w, p.w0) else None
     factor = predicted_factor(cfg, ds)
     if cfg.track_lambda_min or cfg.track_jacobian_drift:
         XXt = ds.X @ ds.X.T
@@ -511,4 +539,6 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         initial_residual_norm=r0,
         records=tuple(records),
         final_params=current,
+        initial_pattern=initial_pattern,
+        final_pattern=network.pack_pattern(S),
     )

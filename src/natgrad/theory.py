@@ -62,7 +62,9 @@ def ngd_max_eta(C: float) -> float:
     return (1.0 - 2.0 * C) / (1.0 + C) ** 2 if C < 0.5 else 0.0
 
 
-def check_conditions(p: NetworkParams, ds: Dataset, kappa: float = 1.0) -> ConditionReport:
+def check_conditions(
+    p: NetworkParams, ds: Dataset, kappa: float = 1.0, trace=None
+) -> ConditionReport:
     """Check both convergence conditions at p, measured from its initialization.
 
     G(0), u(0) and the reference pattern S(0) are evaluated at the stored
@@ -71,17 +73,31 @@ def check_conditions(p: NetworkParams, ds: Dataset, kappa: float = 1.0) -> Condi
     singular initial Gram does not raise: condition 1 is reported as
     failed, sqrt(lambda_0) is taken as NaN, and so the drift constant,
     both radii and max_eta_ngd come back NaN and condition 2 False.
+
+    trace is the optim.ConvergenceTrace whose final_params is p, or None.
+    The packed patterns it holds stand in for network evaluations: the
+    final one for p's, and, when the run started at w0, the first one and
+    the initial residual norm for those at w0.  The report has the same
+    bits either way.
     """
     if not kappa >= 1.0:  # also refuses NaN
         raise ValueError(f"kappa = L/mu must be >= 1, got {kappa}")
+    if trace is not None and trace.final_params is not p:
+        raise ValueError("trace.final_params is not p")
+    first, last = (None, None) if trace is None else (trace.initial_pattern, trace.final_pattern)
+    S = network.activation_pattern(p, ds.X) if last is None else network.unpack_pattern(last, p.m)
+    if first is None:
+        u0, S0 = network.forward(p.with_weights(p.w0), ds.X)
+        r0 = float(np.linalg.norm(ds.y - u0))
+    else:
+        S0 = network.unpack_pattern(first, p.m)
+        r0 = trace.initial_residual_norm
 
     XXt = ds.X @ ds.X.T
-    u0, S0 = network.forward(p.with_weights(p.w0), ds.X)
     lam0 = gram.min_eig(gram.pattern_gram(XXt, S0))
-    drift = gram.jacobian_drift(XXt, network.activation_pattern(p, ds.X), S0)
+    drift = gram.jacobian_drift(XXt, S, S0)
 
     condition1 = lam0 > PD_FLOOR
-    r0 = float(np.linalg.norm(ds.y - u0))
     sqrt_lam0 = math.sqrt(lam0) if condition1 else math.nan
     C = 3.0 * drift / sqrt_lam0
     radius = 3.0 * r0 / sqrt_lam0

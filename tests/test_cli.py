@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -322,6 +323,28 @@ def test_gram_validates_its_dataset(tmp_path, capsys, defect):
     assert captured.out == ""
     assert captured.err.startswith("natgrad: error: dataset failed validation: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["gram", "train"])
+def test_forster_config_with_a_duplicate_row_fails_validation_before_the_transform(
+    tmp_path, capsys, command
+):
+    # the Forster transform keeps parallel rows parallel, so it used to spend
+    # its whole 10 000-iteration budget and exit 2 with "no convergence"
+    ds = ng.synth_sphere(6, 3, seed=0)
+    X = np.vstack([ds.X[:1], ds.X[:-1]])
+    src = tmp_path / "dup.csv"
+    ng.save_csv(ng.Dataset(X, ds.y), src)
+    out = tmp_path / "out"
+    cfg = {"data": {"path": str(src)}, "preprocess": {"forster": True},
+           "output": {"dir": str(out)}}
+    start = time.perf_counter()
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("natgrad: error: dataset failed validation: ")
+    assert not out.exists()
 
 
 def test_non_finite_data_cells_exit_three(tmp_path, capsys):
@@ -1125,3 +1148,28 @@ def test_edge_configs_succeed_with_finite_artifacts_or_fail_in_one_line(run):
             assert code in (1, 2, 3)
             err = stderr.getvalue()
             assert err.endswith("\n") and len(err.splitlines()) == 1, err
+
+
+def test_train_cell_evaluates_the_network_at_w0_once(tmp_path, capsys, monkeypatch):
+    """The condition check reads the run's own first and last patterns: per
+    cell, train's first forward is the only one at w0, and no separate
+    activation pattern is formed."""
+    at_w0, patterns = [], []
+    forward, activation_pattern = ng.network.forward, ng.network.activation_pattern
+
+    def counted_forward(p, X):
+        at_w0.append(np.array_equal(p.w, p.w0))
+        return forward(p, X)
+
+    def counted_pattern(p, X):
+        patterns.append(p)
+        return activation_pattern(p, X)
+
+    monkeypatch.setattr(ng.network, "forward", counted_forward)
+    monkeypatch.setattr(ng.network, "activation_pattern", counted_pattern)
+    cfg = base_config(tmp_path / "run")
+    cfg["sweeps"] = {"eta": [0.25, 0.5]}
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--quiet"]) == 0
+    assert at_w0.count(True) == 2
+    assert len(at_w0) == 2 * (1 + 5)  # one per iterate, steps included
+    assert patterns == []

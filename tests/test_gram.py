@@ -1,5 +1,6 @@
 """Gram matrices: factored finite form, closed-form limit, MC agreement."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from natgrad import (
+    Dataset,
+    OptimizerConfig,
     activation_pattern,
     check_conditions,
     finite_gram,
+    forster_transform,
     hadamard_bounds,
     init_network,
     jacobian,
@@ -20,6 +24,7 @@ from natgrad import (
     pre_activation_gram,
     spectrum,
     synth_sphere,
+    train,
 )
 from natgrad import gram
 
@@ -305,3 +310,79 @@ def test_gram_csv_export(tmp_path, ds):
     back = np.loadtxt(path, delimiter=",")
     assert np.array_equal(back, G)
     assert path.read_bytes().count(b"\r\n") == ds.n
+
+
+@st.composite
+def drift_cases(draw):
+    """(X X^T, S, S0, kind) above the Lanczos crossover: random unit rows
+    and patterns, with D = S - S0 zero, one unit wide, random, or made of
+    two blocks of nearly equal rows (a near-tied top pair)."""
+    n = draw(st.integers(gram.LANCZOS_MIN_N + 1, 400))
+    d = draw(st.integers(2, 8))
+    m = draw(st.integers(2, 96))
+    kind = draw(st.sampled_from(["zero", "one_unit", "random", "near_tie"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    X = rng.standard_normal((n, d))
+    S0 = rng.random((n, m)) < 0.5
+    S = S0.copy()
+    if kind == "one_unit":
+        S[:, 0] = rng.random(n) < 0.5
+    elif kind == "random":
+        S ^= rng.random((n, m)) < draw(st.sampled_from([0.01, 0.1, 0.5]))
+    elif kind == "near_tie":
+        half = n // 2
+        X[half : 2 * half] = X[:half] + 1e-7 * rng.standard_normal((half, d))
+        S[:half, 0] = ~S0[:half, 0]  # unit 0 flips on one half, unit 1 on the other
+        S[half : 2 * half, 1] = ~S0[half : 2 * half, 1]
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return X @ X.T, S, S0, kind
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(drift_cases())
+def test_lanczos_drift_agrees_with_eigvalsh(case):
+    """Above the crossover the drift's top eigenvalue comes from Lanczos,
+    within 1e-12 relative of eigvalsh's, unless it fell back to eigvalsh;
+    a zero D gives exactly 0.0."""
+    XXt, S, S0, kind = case
+    M = gram.pattern_gram(XXt, np.subtract(S, S0, dtype=np.float32))
+    reference = float(np.linalg.eigvalsh(M)[-1])
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        drift = gram.jacobian_drift(XXt, S, S0)
+    if kind == "zero":
+        assert drift == 0.0 and eigvalsh.call_count == 0
+    elif eigvalsh.call_count == 0:
+        assert drift**2 == pytest.approx(reference, rel=1e-12)
+    else:
+        assert drift == math.sqrt(max(0.0, reference))
+
+
+def test_lanczos_drift_takes_no_eigvalsh_at_the_large_n_shape():
+    raw = synth_sphere(1024, 32, seed=1)
+    ds = Dataset(forster_transform(raw.X).Z, raw.y)
+    p = init_network(4096, 32, nu=1.0, seed=2)
+    trace = train(p, ds, OptimizerConfig(method="ngd_exact", eta=0.5, damping=0.0, max_steps=3))
+    XXt = ds.X @ ds.X.T
+    S0 = activation_pattern(p, ds.X)
+    S = activation_pattern(trace.final_params, ds.X)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        drift = gram.jacobian_drift(XXt, S, S0)
+    assert eigvalsh.call_count == 0
+    M = gram.pattern_gram(XXt, np.subtract(S, S0, dtype=np.float32))
+    assert drift**2 == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-12)
+
+
+def test_lanczos_drift_falls_back_to_eigvalsh_at_the_step_cap(monkeypatch):
+    rng = np.random.default_rng(7)
+    n, m = gram.LANCZOS_MIN_N + 8, 32
+    X = rng.standard_normal((n, 4))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    S0 = rng.random((n, m)) < 0.5
+    S = S0 ^ (rng.random((n, m)) < 0.3)
+    XXt = X @ X.T
+    M = gram.pattern_gram(XXt, np.subtract(S, S0, dtype=np.float32))
+    monkeypatch.setattr(gram, "LANCZOS_MAX_ITERS", 2)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        drift = gram.jacobian_drift(XXt, S, S0)
+    assert eigvalsh.call_count == 1
+    assert drift == math.sqrt(np.linalg.eigvalsh(M)[-1])

@@ -271,3 +271,26 @@ def test_cli_makes_datasets_in_build_dataset_only():
         and getattr(node.func, "attr", None) in ("synth_sphere", "load_csv")
     ]
     assert sorted(callers) == [("build_dataset", "load_csv"), ("build_dataset", "synth_sphere")]
+
+
+def test_step_arguments_checked_in_one_place():
+    """OptimizerConfig and the four public steps check eta, damping,
+    cg_iters and cg_tol by one call to optim._check_step_args, and no
+    ValueError message is written twice in optim."""
+    tree = parse("optim")
+    messages = [
+        ast.unparse(node.exc.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ValueError"
+    ]
+    assert messages and len(messages) == len(set(messages))
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_step_args"
+    }
+    assert callers == {"__post_init__", "gd_step", "ngd_exact_step", "ngd_cg_step", "kfac_step"}

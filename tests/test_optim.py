@@ -1,6 +1,7 @@
 """Optimizer steps against dense oracles, and the training-loop contract."""
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -133,6 +134,32 @@ def test_range_checks_refuse_non_finite_and_fractional_values(call, name):
     lm = ng.LinearizedModel(ng.jacobian(p, ds.X), p.w, forward(p, ds.X)[0], ds.y)
     with pytest.raises(ValueError, match=name):
         call(p, ds, lm)
+
+
+@pytest.mark.parametrize(
+    "step, kwargs, message",
+    [
+        (gd_step, {"eta": math.nan}, "eta must be finite and >= 0, got nan"),
+        (ngd_exact_step, {"eta": math.nan}, "eta must be finite and >= 0, got nan"),
+        (kfac_step, {"eta": math.nan}, "eta must be finite and >= 0, got nan"),
+        (ngd_exact_step, {"damping": -1.0}, "damping must be None or >= 0, got -1.0"),
+        (ngd_cg_step, {"cg_tol": math.nan}, "cg_tol must be finite and positive, got nan"),
+        (ngd_cg_step, {"cg_tol": math.inf}, "cg_tol must be finite and positive, got inf"),
+        (ngd_cg_step, {"cg_iters": 2.5}, "cg_iters must be an integer >= 1, got 2.5"),
+    ],
+    ids=["gd-eta-nan", "ngd_exact-eta-nan", "kfac-eta-nan", "ngd_exact-damping-negative",
+         "ngd_cg-cg_tol-nan", "ngd_cg-cg_tol-inf", "ngd_cg-cg_iters-fraction"],
+)
+def test_steps_check_their_arguments_as_the_config_does(step, kwargs, message):
+    # these used to return NaN weights, report a solve as (not) converged
+    # by its tolerance, or raise TypeError inside cg_solve
+    ds = synth_sphere(8, 4, seed=0)
+    p = init_network(64, 4, nu=1.0, seed=0)
+    args = {"eta": 0.5, **kwargs}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        step(p, ds, **args)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OptimizerConfig(method=step.__name__.removesuffix("_step"), **args)
 
 
 def test_optimizer_config_defaults():

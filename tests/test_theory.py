@@ -1,4 +1,5 @@
 """Convergence conditions, rate predictions, and sample-size bounds."""
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import oracles
 from natgrad import (
     Dataset,
     NetworkParams,
+    OptimizerConfig,
     SingularMatrixError,
     check_conditions,
     generalization_bound,
@@ -19,7 +21,9 @@ from natgrad import (
     overparam_requirement,
     rate_predictor,
     synth_sphere,
+    train,
 )
+from natgrad import gram, network
 
 
 def test_max_eta_values():
@@ -261,3 +265,74 @@ def test_overparam_requirement_beyond_float_range():
     assert overparam_requirement(16, 0.25, 1e200, 0.1) == 0.0
     # nu**2 = inf against lambda0_hat**4 = 0: 16^4 / (1e400 1e-400 1e-3)
     assert overparam_requirement(16, 1e-100, 1e200, 0.1) == pytest.approx(6.5536e7)
+
+
+def report_bits(rep):
+    """Every field of a ConditionReport by repr, which tells floats apart bit
+    for bit (NaN included)."""
+    return [repr(v) for v in dataclasses.astuple(rep)]
+
+
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diagnostics"])
+@pytest.mark.parametrize("method", ["gd", "ngd_exact", "ngd_cg", "kfac"])
+def test_report_from_the_trace_equals_the_report_from_params(method, diagnostics):
+    ds = synth_sphere(16, 8, seed=3)
+    p = init_network(512, 8, nu=1.0, seed=4)
+    cfg = OptimizerConfig(method=method, eta=0.25, damping=0.0, max_steps=4,
+                          track_lambda_min=diagnostics, track_jacobian_drift=diagnostics)
+    trace = train(p, ds, cfg)
+    assert trace.initial_pattern is not None
+    from_trace = check_conditions(trace.final_params, ds, kappa=2.0, trace=trace)
+    assert report_bits(from_trace) == report_bits(check_conditions(trace.final_params, ds, kappa=2.0))
+    assert from_trace.jacobian_drift > 0.0
+
+
+def test_report_from_the_trace_above_the_lanczos_crossover():
+    ds = synth_sphere(gram.LANCZOS_MIN_N + 40, 8, seed=5)
+    p = init_network(256, 8, nu=1.0, seed=6)
+    trace = train(p, ds, OptimizerConfig(method="ngd_exact", eta=0.5, damping=0.0, max_steps=2))
+    from_trace = check_conditions(trace.final_params, ds, trace=trace)
+    assert report_bits(from_trace) == report_bits(check_conditions(trace.final_params, ds))
+
+
+def count_forwards(monkeypatch):
+    """Record, for each network.forward call, whether it ran at w0."""
+    at_w0 = []
+    forward = network.forward
+
+    def counted(p, X):
+        at_w0.append(np.array_equal(p.w, p.w0))
+        return forward(p, X)
+
+    monkeypatch.setattr(network, "forward", counted)
+    return at_w0
+
+
+def test_report_from_the_trace_runs_no_network(monkeypatch):
+    ds = synth_sphere(16, 8, seed=3)
+    p = init_network(512, 8, nu=1.0, seed=4)
+    trace = train(p, ds, OptimizerConfig(method="ngd_exact", eta=0.5, damping=0.0, max_steps=3))
+    at_w0 = count_forwards(monkeypatch)
+    monkeypatch.setattr(network, "activation_pattern", None)  # any call fails
+    check_conditions(trace.final_params, ds, trace=trace)
+    assert at_w0 == []
+
+
+def test_run_not_started_at_w0_falls_back_to_the_forward_at_w0(monkeypatch):
+    ds = synth_sphere(16, 8, seed=3)
+    p = init_network(512, 8, nu=1.0, seed=4)
+    moved = p.with_weights(p.w + 0.1)  # w0 stays the initialization
+    trace = train(moved, ds, OptimizerConfig(method="ngd_exact", eta=0.5, damping=0.0, max_steps=3))
+    assert trace.initial_pattern is None
+    expected = check_conditions(trace.final_params, ds)
+    at_w0 = count_forwards(monkeypatch)
+    assert report_bits(check_conditions(trace.final_params, ds, trace=trace)) == report_bits(expected)
+    assert at_w0 == [True]
+
+
+def test_report_refuses_a_trace_of_other_params():
+    ds = synth_sphere(8, 4, seed=0)
+    p = init_network(64, 4, nu=1.0, seed=1)
+    trace = train(p, ds, OptimizerConfig(method="gd", eta=0.5, max_steps=2))
+    with pytest.raises(ValueError, match="trace.final_params is not p"):
+        check_conditions(p, ds, trace=trace)
