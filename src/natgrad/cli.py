@@ -310,10 +310,7 @@ def build_dataset(
 ) -> tuple[Dataset, forster_mod.ForsterResult | None]:
     """Materialize the config's dataset, with its preprocessing applied and
     validated (unit-norm, non-parallel rows; ValueError otherwise).  raw
-    gives the rows as read, for forster, which normalizes its own input.
-    The Forster transform is an invertible linear map followed by row
-    normalization, so it keeps parallel rows parallel: the normalized rows
-    are checked before its iterations as well as after."""
+    gives the rows as read, for forster, which normalizes its own input."""
     if "path" in cfg.data:
         ds = data_mod.load_csv(
             cfg.data["path"],
@@ -327,11 +324,26 @@ def build_dataset(
         return ds, None
     result = None
     if cfg.preprocess["forster"]:
-        data_mod.require_valid(Dataset(forster_mod.normalize_rows(ds.X), ds.y))
+        _require_no_parallel_rows(ds.X)
         result = forster_mod.forster_transform(ds.X)
         ds = Dataset(result.Z, ds.y)
     data_mod.require_valid(ds)
     return ds, result
+
+
+def _require_no_parallel_rows(X: np.ndarray) -> None:
+    """Raise ValueError if two rows are exactly parallel: equal or opposite
+    once normalized.  The Forster transform is an invertible linear map
+    followed by row normalization, so it keeps them parallel, and it would
+    spend its whole iteration budget on them.  Nearly parallel rows are left
+    to the check after the transform, which may have spread them apart."""
+    Z = forster_mod.normalize_rows(X)
+    lead = Z[np.arange(len(Z)), np.argmax(Z != 0, axis=1)]  # first nonzero entry
+    seen: dict[bytes, int] = {}
+    for i, row in enumerate(Z * np.where(lead < 0, -1.0, 1.0)[:, None] + 0.0):  # + 0.0: no -0.0
+        j = seen.setdefault(row.tobytes(), i)
+        if j != i:
+            raise ValueError(f"dataset failed validation: rows {j} and {i} (from 0) are parallel")
 
 
 def _init_params(model: dict, ds: Dataset) -> network.NetworkParams:

@@ -18,12 +18,9 @@ keeps a pattern at one bit per entry, and unpack_pattern gives it back.
 """
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-PACK_BLOCK_BYTES = 2**20  # bool bytes per row block that pack_pattern converts
 
 
 @dataclass(frozen=True)
@@ -156,21 +153,8 @@ def activation_pattern(p: NetworkParams, X: np.ndarray) -> np.ndarray:
 
 def pack_pattern(S: np.ndarray) -> np.ndarray:
     """The n x m 0/1 pattern S at one bit per entry: np.packbits along the
-    units, n x ceil(m / 8) uint8.  Rows are packed one block at a time, so
-    no n x m temporary is made.
-
-    The result has an anonymous memory map of its own rather than a malloc
-    block: train() keeps it while the run allocates and frees n x m
-    temporaries, and a live block amid those keeps the heap from shrinking:
-    at n = 128, m = 32768 the benchmark's peak RSS read 145 MB with a malloc
-    block and 122 MB with the map."""
-    n, m = S.shape
-    width = -(-m // 8)
-    packed = np.frombuffer(mmap.mmap(-1, n * width), dtype=np.uint8).reshape(n, width)
-    rows = max(1, PACK_BLOCK_BYTES // m)
-    for lo in range(0, n, rows):
-        packed[lo : lo + rows] = np.packbits(S[lo : lo + rows] != 0, axis=1)
-    return packed
+    units, n x ceil(m / 8) uint8."""
+    return np.packbits(S != 0, axis=1)
 
 
 def unpack_pattern(packed: np.ndarray, m: int) -> np.ndarray:

@@ -26,11 +26,11 @@ initialization, the predicted geometric bound on the squared residual,
 and optional diagnostics.  It evaluates the network once per iterate:
 the outputs and activation pattern from one network.forward call feed
 that iterate's record and diagnostics and the next step.  The trace also
-keeps the run's last activation pattern, and its first when the run
-starts at w0, bit-packed, so that theory.check_conditions reads them
-instead of evaluating the network again.  StepRecord's fields are the
-trace columns, and ConvergenceTrace.summary() is the one run summary that
-every report reuses.  The steps and OptimizerConfig share one range
+keeps the run's last activation pattern, bit-packed, so that
+theory.check_conditions reads it instead of evaluating the network at
+the final iterate again.  StepRecord's fields are the trace columns, and
+ConvergenceTrace.summary() is the one run summary that every report
+reuses.  The steps and OptimizerConfig share one range
 check of the step arguments.
 """
 from __future__ import annotations
@@ -397,9 +397,7 @@ class ConvergenceTrace:
 
     Rows are the states after steps 1..K; the state before the first step
     is summarized by initial_residual_norm.  final_pattern is the
-    activation pattern at final_params and initial_pattern the one at w0,
-    or None when the run did not start at w0; both are
-    network.pack_pattern arrays.
+    activation pattern at final_params, as a network.pack_pattern array.
     """
 
     method: str
@@ -407,7 +405,6 @@ class ConvergenceTrace:
     initial_residual_norm: float
     records: tuple[StepRecord, ...]
     final_params: NetworkParams
-    initial_pattern: np.ndarray | None = field(default=None, repr=False)
     final_pattern: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -467,13 +464,12 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
     weights stop being finite.  A step's SingularMatrixError or
     RankDeficiencyError is raised again as its own type with the step in
     err.step and in the message.  The trace keeps the packed activation
-    patterns of the last iterate and, when p.w equals p.w0, of the first.
+    pattern of the last iterate.
     """
     require_valid(ds)
 
     u, S = network.forward(p, ds.X)  # outputs and pattern at the current iterate
     r0 = _residual_norm(u, ds, 0)
-    initial_pattern = network.pack_pattern(S) if np.array_equal(p.w, p.w0) else None
     factor = predicted_factor(cfg, ds)
     if cfg.track_lambda_min or cfg.track_jacobian_drift:
         XXt = ds.X @ ds.X.T
@@ -539,6 +535,5 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         initial_residual_norm=r0,
         records=tuple(records),
         final_params=current,
-        initial_pattern=initial_pattern,
         final_pattern=network.pack_pattern(S),
     )

@@ -74,30 +74,30 @@ def check_conditions(
     failed, sqrt(lambda_0) is taken as NaN, and so the drift constant,
     both radii and max_eta_ngd come back NaN and condition 2 False.
 
-    trace is the optim.ConvergenceTrace whose final_params is p, or None.
-    The packed patterns it holds stand in for network evaluations: the
-    final one for p's, and, when the run started at w0, the first one and
-    the initial residual norm for those at w0.  The report has the same
-    bits either way.
+    trace is the optim.ConvergenceTrace whose final_params is p, or None;
+    ds must then be the run's training set.  The packed final pattern it
+    holds stands in for the network evaluation at p, and the report has the
+    same bits either way.
     """
     if not kappa >= 1.0:  # also refuses NaN
         raise ValueError(f"kappa = L/mu must be >= 1, got {kappa}")
+    packed = None if trace is None else trace.final_pattern
     if trace is not None and trace.final_params is not p:
         raise ValueError("trace.final_params is not p")
-    first, last = (None, None) if trace is None else (trace.initial_pattern, trace.final_pattern)
-    S = network.activation_pattern(p, ds.X) if last is None else network.unpack_pattern(last, p.m)
-    if first is None:
-        u0, S0 = network.forward(p.with_weights(p.w0), ds.X)
-        r0 = float(np.linalg.norm(ds.y - u0))
-    else:
-        S0 = network.unpack_pattern(first, p.m)
-        r0 = trace.initial_residual_norm
+    if packed is not None and packed.shape != (ds.n, -(-p.m // 8)):
+        raise ValueError(
+            f"trace.final_pattern has shape {packed.shape}, not that of a run on "
+            f"{ds.n} rows: ds must be the run's training set"
+        )
 
     XXt = ds.X @ ds.X.T
+    u0, S0 = network.forward(p.with_weights(p.w0), ds.X)
     lam0 = gram.min_eig(gram.pattern_gram(XXt, S0))
+    S = network.activation_pattern(p, ds.X) if packed is None else network.unpack_pattern(packed, p.m)
     drift = gram.jacobian_drift(XXt, S, S0)
 
     condition1 = lam0 > PD_FLOOR
+    r0 = float(np.linalg.norm(ds.y - u0))
     sqrt_lam0 = math.sqrt(lam0) if condition1 else math.nan
     C = 3.0 * drift / sqrt_lam0
     radius = 3.0 * r0 / sqrt_lam0

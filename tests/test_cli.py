@@ -347,6 +347,21 @@ def test_forster_config_with_a_duplicate_row_fails_validation_before_the_transfo
     assert not out.exists()
 
 
+def test_forster_config_with_a_nearly_parallel_pair_passes_after_the_transform(tmp_path, capsys):
+    # rows 0 and 1 are 1.3e-6 rad apart, a gap 1 - |cos| of 8.4e-13, under
+    # validate()'s 1e-12; the transform spreads them to a gap of 6.9e-12
+    ds = ng.synth_sphere(16, 4, seed=0)
+    X = ds.X.copy()
+    v = X[3] - (X[3] @ X[0]) * X[0]
+    X[1] = X[0] + 1.3e-6 * v / np.linalg.norm(v)
+    assert not ng.validate(ng.Dataset(ng.normalize_rows(X), ds.y)).passed
+    src = tmp_path / "near.csv"
+    ng.save_csv(ng.Dataset(X, ds.y), src)
+    cfg = {"data": {"path": str(src)}, "preprocess": {"forster": True},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["gram", "--config", write_config(tmp_path, cfg)]) == 0
+
+
 def test_non_finite_data_cells_exit_three(tmp_path, capsys):
     """A nan or inf cell is a format error, whichever command reads it."""
     def lines(rows):
@@ -1150,10 +1165,10 @@ def test_edge_configs_succeed_with_finite_artifacts_or_fail_in_one_line(run):
             assert err.endswith("\n") and len(err.splitlines()) == 1, err
 
 
-def test_train_cell_evaluates_the_network_at_w0_once(tmp_path, capsys, monkeypatch):
-    """The condition check reads the run's own first and last patterns: per
-    cell, train's first forward is the only one at w0, and no separate
-    activation pattern is formed."""
+def test_train_cell_forms_no_pattern_at_the_final_iterate(tmp_path, capsys, monkeypatch):
+    """The condition check reads the run's packed last pattern: per cell,
+    the network is evaluated once per iterate and once more at w0 for the
+    check, and no separate activation pattern is formed."""
     at_w0, patterns = [], []
     forward, activation_pattern = ng.network.forward, ng.network.activation_pattern
 
@@ -1170,6 +1185,6 @@ def test_train_cell_evaluates_the_network_at_w0_once(tmp_path, capsys, monkeypat
     cfg = base_config(tmp_path / "run")
     cfg["sweeps"] = {"eta": [0.25, 0.5]}
     assert main(["train", "--config", write_config(tmp_path, cfg), "--quiet"]) == 0
-    assert at_w0.count(True) == 2
-    assert len(at_w0) == 2 * (1 + 5)  # one per iterate, steps included
+    assert at_w0.count(True) == 2 * 2  # train's first forward and the check's
+    assert len(at_w0) == 2 * (1 + 5 + 1)  # one per iterate, steps included, and the check's
     assert patterns == []

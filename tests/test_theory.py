@@ -281,7 +281,6 @@ def test_report_from_the_trace_equals_the_report_from_params(method, diagnostics
     cfg = OptimizerConfig(method=method, eta=0.25, damping=0.0, max_steps=4,
                           track_lambda_min=diagnostics, track_jacobian_drift=diagnostics)
     trace = train(p, ds, cfg)
-    assert trace.initial_pattern is not None
     from_trace = check_conditions(trace.final_params, ds, kappa=2.0, trace=trace)
     assert report_bits(from_trace) == report_bits(check_conditions(trace.final_params, ds, kappa=2.0))
     assert from_trace.jacobian_drift > 0.0
@@ -308,14 +307,14 @@ def count_forwards(monkeypatch):
     return at_w0
 
 
-def test_report_from_the_trace_runs_no_network(monkeypatch):
+def test_report_from_the_trace_evaluates_the_network_at_w0_only(monkeypatch):
     ds = synth_sphere(16, 8, seed=3)
     p = init_network(512, 8, nu=1.0, seed=4)
     trace = train(p, ds, OptimizerConfig(method="ngd_exact", eta=0.5, damping=0.0, max_steps=3))
     at_w0 = count_forwards(monkeypatch)
     monkeypatch.setattr(network, "activation_pattern", None)  # any call fails
     check_conditions(trace.final_params, ds, trace=trace)
-    assert at_w0 == []
+    assert at_w0 == [True]
 
 
 def test_run_not_started_at_w0_falls_back_to_the_forward_at_w0(monkeypatch):
@@ -323,7 +322,6 @@ def test_run_not_started_at_w0_falls_back_to_the_forward_at_w0(monkeypatch):
     p = init_network(512, 8, nu=1.0, seed=4)
     moved = p.with_weights(p.w + 0.1)  # w0 stays the initialization
     trace = train(moved, ds, OptimizerConfig(method="ngd_exact", eta=0.5, damping=0.0, max_steps=3))
-    assert trace.initial_pattern is None
     expected = check_conditions(trace.final_params, ds)
     at_w0 = count_forwards(monkeypatch)
     assert report_bits(check_conditions(trace.final_params, ds, trace=trace)) == report_bits(expected)
@@ -336,3 +334,6 @@ def test_report_refuses_a_trace_of_other_params():
     trace = train(p, ds, OptimizerConfig(method="gd", eta=0.5, max_steps=2))
     with pytest.raises(ValueError, match="trace.final_params is not p"):
         check_conditions(p, ds, trace=trace)
+    other = synth_sphere(9, 4, seed=0)
+    with pytest.raises(ValueError, match="ds must be the run's training set"):
+        check_conditions(trace.final_params, other, trace=trace)
