@@ -343,7 +343,7 @@ def _require_no_parallel_rows(X: np.ndarray) -> None:
     for i, row in enumerate(Z * np.where(lead < 0, -1.0, 1.0)[:, None] + 0.0):  # + 0.0: no -0.0
         j = seen.setdefault(row.tobytes(), i)
         if j != i:
-            raise ValueError(f"dataset failed validation: rows {j} and {i} (from 0) are parallel")
+            raise ValueError(f"dataset failed validation: rows {j} and {i} (0-based) are exactly parallel")
 
 
 def _init_params(model: dict, ds: Dataset) -> network.NetworkParams:

@@ -30,8 +30,8 @@ keeps the run's last activation pattern, bit-packed, so that
 theory.check_conditions reads it instead of evaluating the network at
 the final iterate again.  StepRecord's fields are the trace columns, and
 ConvergenceTrace.summary() is the one run summary that every report
-reuses.  The steps and OptimizerConfig share one range
-check of the step arguments.
+reuses.  The steps and OptimizerConfig share one range check of the step
+arguments.
 """
 from __future__ import annotations
 
