@@ -16,7 +16,7 @@ Ginf = ng.limiting_gram(ds)
 lam_inf = np.linalg.eigvalsh(Ginf)[0]
 print(f"limiting kernel: lambda_min = {lam_inf:.6f}, diag = {Ginf[0, 0]}")
 
-Gmc, se = ng.mc_limiting_gram(ds, nu=1.0, samples=200_000, seed=0)
+Gmc, se = ng.mc_limiting_gram(ds, samples=200_000, seed=0)
 print(f"monte carlo    : max entry gap vs closed form = "
       f"{np.abs(Gmc - Ginf).max():.2e} (max SE {se.max():.2e})")
 

@@ -200,8 +200,9 @@ def load_csv(path, label_column: int | str = -1, normalize: bool = False) -> Dat
     return Dataset(X, y)
 
 
-def save_csv(ds: Dataset, path, header: bool = True) -> None:
-    """Write a Dataset as CSV, features first and the label last.
+def save_csv(ds: Dataset, path) -> None:
+    """Write a Dataset as CSV under a header x0, ..., x{d-1}, y: features
+    first and the label last.
 
     Mirrors the load format: ``load_csv(path)`` with the default label
     column reproduces the Dataset exactly (cells are written by ``cells``).
@@ -209,8 +210,7 @@ def save_csv(ds: Dataset, path, header: bool = True) -> None:
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"x{j}" for j in range(ds.d)] + ["y"])
+        writer.writerow([f"x{j}" for j in range(ds.d)] + ["y"])
         writer.writerows(cells(row) for row in np.column_stack([ds.X, ds.y]).tolist())
 
 

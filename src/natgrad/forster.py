@@ -46,16 +46,16 @@ def normalize_rows(M: np.ndarray) -> np.ndarray:
     return M / np.where(norms == 0.0, 1.0, norms)
 
 
-def inverse_sqrt_psd(M: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
+def inverse_sqrt_psd(M: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root via eigendecomposition.
 
-    Raises RankDeficiencyError when any eigenvalue falls below the floor,
+    Raises RankDeficiencyError when any eigenvalue falls below EIG_FLOOR,
     since M^(-1/2) is then meaningless.
     """
     lam, V = np.linalg.eigh(M)
-    if lam.min() < floor:
+    if lam.min() < EIG_FLOOR:
         raise RankDeficiencyError(
-            f"matrix has eigenvalue {lam.min():.3e} below floor {floor:.0e}; "
+            f"matrix has eigenvalue {lam.min():.3e} below floor {EIG_FLOOR:.0e}; "
             "inverse square root undefined"
         )
     return (V * lam**-0.5) @ V.T

@@ -37,6 +37,7 @@ REFINE_TOL = math.sqrt(np.finfo(float).eps)  # guarded_solve's largest accepted 
 LANCZOS_MIN_N = 256  # at or below this many rows eigvalsh is as fast as Lanczos
 LANCZOS_MAX_ITERS = 64  # Lanczos steps before falling back to eigvalsh
 LANCZOS_TOL = 1e-13  # accepted Ritz residual bound, relative to the Ritz value
+MC_PASS_BYTES = 2**24  # bytes of one mc_limiting_gram pass's float64 draws-by-rows product
 
 
 def limiting_gram(ds: Dataset) -> np.ndarray:
@@ -150,32 +151,27 @@ def _top_eigenvalue(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(M)[-1])
 
 
-def mc_limiting_gram(
-    ds: Dataset,
-    nu: float,
-    samples: int,
-    seed: int,
-    chunk: int = 20000,
-) -> tuple[np.ndarray, np.ndarray]:
+def mc_limiting_gram(ds: Dataset, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimate of the limiting Gram, with standard errors.
 
-    Draws w ~ N(0, nu^2 I) and averages x_i.x_j 1{w.x_i >= 0, w.x_j >= 0}.
-    The indicator events are scale invariant, so the estimate does not
-    depend on nu (the draws are still made at scale nu).  Returns the
-    estimate and the entrywise standard-error matrix
+    Draws w ~ N(0, I) and averages x_i.x_j 1{w.x_i >= 0, w.x_j >= 0}; the
+    indicator events are scale invariant, so unit scale loses nothing.
+    The draws are made in passes of MC_PASS_BYTES / (8 max(n, d)) at most,
+    which bounds each pass's temporaries as n grows; the counts are exact
+    integers, so the estimate does not depend on the pass size.  Returns
+    the estimate and the entrywise standard-error matrix
     |x_i.x_j| sqrt(p(1-p)/samples) from the estimated co-activation
     frequency p.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    if chunk < 1:
-        raise ValueError(f"need chunk >= 1, got {chunk}")
+    per_pass = max(1, MC_PASS_BYTES // (8 * max(ds.n, ds.d)))
     rng = np.random.default_rng(seed)
     counts = np.zeros((ds.n, ds.n))
     done = 0
     while done < samples:
-        take = min(chunk, samples - done)
-        W = nu * rng.standard_normal((take, ds.d))
+        take = min(per_pass, samples - done)
+        W = rng.standard_normal((take, ds.d))
         P = W @ ds.X.T >= 0.0  # ties count as active
         counts += coactivation(P.T)
         done += take

@@ -82,9 +82,7 @@ def ngd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
     """Natural-gradient-flow weights at time t."""
     if not t >= 0:  # NaN fails; t = inf is the limit
         raise ValueError(f"time must be nonnegative, got {t}")
-    lam, V = lm.eig
-    rho0 = lm.y - lm.u0
-    return (1.0 - np.exp(-t)) * lm.jv.grad_matrix(V @ ((V.T @ rho0) / lam)) + lm.w0
+    return (1.0 - np.exp(-t)) * lm.jv.grad_matrix(_solve_gram(lm, lm.y - lm.u0)) + lm.w0
 
 
 def ngd_discrete(
@@ -103,12 +101,10 @@ def ngd_discrete(
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    lam, V = lm.eig
     w = lm.w0.copy()
     u = lm.u0.copy()
     for _ in range(k):
-        z = V @ ((V.T @ loss.grad(u, lm.y)) / lam)
-        w = w - eta * lm.jv.grad_matrix(z)
+        w = w - eta * lm.jv.grad_matrix(_solve_gram(lm, loss.grad(u, lm.y)))
         u = outputs_at(lm, w)
     return w, u
 
@@ -116,9 +112,13 @@ def ngd_discrete(
 def limit_weights(lm: LinearizedModel) -> np.ndarray:
     """Common t -> infinity point of both flows: w0 + J^T G^{-1} (y - u0),
     the least-norm solution of J (w - w0) = y - u0."""
+    return ngd_trajectory(lm, np.inf)
+
+
+def _solve_gram(lm: LinearizedModel, v: np.ndarray) -> np.ndarray:
+    """G^{-1} v through the cached eigendecomposition of G."""
     lam, V = lm.eig
-    rho0 = lm.y - lm.u0
-    return lm.jv.grad_matrix(V @ ((V.T @ rho0) / lam)) + lm.w0
+    return V @ ((V.T @ v) / lam)
 
 
 def t_infinity(lm: LinearizedModel) -> float:

@@ -3,11 +3,12 @@
     f(x) = (1/sqrt(m)) * sum_r a_r * max(w_r . x, 0)
 
 Only w is ever updated; the output signs a and the initialization snapshot
-w0 are frozen at construction.  The Jacobian of the output vector with
-respect to the flattened weights factors as a row-wise Khatri-Rao product
-of the activation pattern S (n x m, 0/1) and the input matrix, with unit r
-scaled by a_r / sqrt(m).  Every consumer works with the factors (X, S, a);
-the dense n x (m*d) matrix is formed only by the test oracles.
+w0 are frozen at construction, and init's scale nu enters the draw of w
+only.  The Jacobian of the output vector with respect to the flattened
+weights factors as a row-wise Khatri-Rao product of the activation pattern
+S (n x m, 0/1) and the input matrix, with unit r scaled by a_r / sqrt(m).
+Every consumer works with the factors (X, S, a); the dense n x (m*d)
+matrix is formed only by the test oracles.
 
 forward(p, X) is the one evaluation of an iterate: it forms the
 pre-activations X w^T once and returns both the outputs u and the pattern
@@ -25,7 +26,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """First-layer weights w (m x d), frozen signs a, init scale nu.
+    """First-layer weights w (m x d) and frozen signs a.
 
     w0 is the frozen snapshot of w at initialization; seed records how the
     draw was made (-1 when constructed by hand).  Treat instances as
@@ -34,7 +35,6 @@ class NetworkParams:
 
     w: np.ndarray
     a: np.ndarray
-    nu: float
     w0: np.ndarray = field(repr=False)
     seed: int = -1
 
@@ -50,8 +50,6 @@ class NetworkParams:
             raise ValueError("a entries must be +-1")
         if w0.shape != w.shape:
             raise ValueError(f"w0 shape {w0.shape} does not match w shape {w.shape}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "w0", w0)
@@ -65,7 +63,7 @@ class NetworkParams:
         return self.w.shape[1]
 
     def with_weights(self, w_new: np.ndarray) -> "NetworkParams":
-        """New params with updated w; a, nu, w0, seed unchanged."""
+        """New params with updated w; a, w0, seed unchanged."""
         return replace(self, w=np.asarray(w_new, dtype=float))
 
 
@@ -126,7 +124,7 @@ def init(m: int, d: int, nu: float, seed: int) -> NetworkParams:
     rng = np.random.default_rng(seed)
     w = nu * rng.standard_normal((m, d))
     a = rng.choice([-1.0, 1.0], size=m)
-    return NetworkParams(w=w, a=a, nu=nu, w0=w.copy(), seed=seed)
+    return NetworkParams(w=w, a=a, w0=w.copy(), seed=seed)
 
 
 def forward(p: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

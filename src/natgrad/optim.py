@@ -474,8 +474,12 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
     if cfg.track_lambda_min or cfg.track_jacobian_drift:
         XXt = ds.X @ ds.X.T
     if cfg.track_jacobian_drift:
-        # pattern of the stored initialization, not of the incoming weights
-        S0 = network.activation_pattern(p.with_weights(p.w0), ds.X)
+        # pattern of the stored initialization, not of the incoming weights;
+        # a run from w0 already has it in S, which no step writes
+        if np.array_equal(p.w, p.w0):
+            S0 = S
+        else:
+            S0 = network.activation_pattern(p.with_weights(p.w0), ds.X)
 
     records: list[StepRecord] = []
     current = p

@@ -84,10 +84,10 @@ def check_conditions(
     packed = None if trace is None else trace.final_pattern
     if trace is not None and trace.final_params is not p:
         raise ValueError("trace.final_params is not p")
-    if packed is not None and packed.shape != (ds.n, -(-p.m // 8)):
+    if packed is not None and packed.shape[0] != ds.n:
         raise ValueError(
-            f"trace.final_pattern has shape {packed.shape}, not that of a run on "
-            f"{ds.n} rows: ds must be the run's training set"
+            f"trace.final_pattern has {packed.shape[0]} rows, not the {ds.n} of ds: "
+            "ds must be the run's training set"
         )
 
     XXt = ds.X @ ds.X.T

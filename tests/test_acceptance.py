@@ -160,7 +160,7 @@ def test_criterion_08_gram_correctness():
     name = "limiting gram: MC agreement, factored identity, half diagonal"
     ds = ng.synth_sphere(16, 8, seed=0)
     exact = ng.limiting_gram(ds)
-    est, se = ng.mc_limiting_gram(ds, nu=1.0, samples=10**5, seed=0)
+    est, se = ng.mc_limiting_gram(ds, samples=10**5, seed=0)
     mc_ok = bool(np.all(np.abs(est - exact) <= 4.0 * se))
 
     p = ng.init_network(256, 8, 1.0, seed=1)

@@ -114,15 +114,6 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.y, ds.y)
 
 
-def test_csv_round_trip_without_header(tmp_path):
-    ds = synth_sphere(5, 3, seed=2)
-    path = tmp_path / "bare.csv"
-    save_csv(ds, path, header=False)
-    back = load_csv(path)
-    assert np.array_equal(back.X, ds.X)
-    assert np.array_equal(back.y, ds.y)
-
-
 def test_load_csv_label_by_name_and_index(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,c\n1,2,3\n4,5,6\n")

@@ -244,31 +244,29 @@ def test_limiting_gram_positive_definite_for_generic_data(ds):
 
 def test_mc_estimate_brackets_closed_form(ds):
     exact = limiting_gram(ds)
-    est, se = mc_limiting_gram(ds, nu=1.0, samples=40000, seed=0)
+    est, se = mc_limiting_gram(ds, samples=40000, seed=0)
     # off-diagonal SEs are estimates themselves; allow 5 of them plus slack
     gap = np.abs(est - exact)
     assert np.all(gap <= 5.0 * se + 1e-4)
     assert np.all(np.diag(se) >= 0)
 
 
-def test_mc_estimate_scale_invariant(ds):
-    a, _ = mc_limiting_gram(ds, nu=0.3, samples=2000, seed=7)
-    b, _ = mc_limiting_gram(ds, nu=3.0, samples=2000, seed=7)
-    assert np.array_equal(a, b)
-
-
-def test_mc_estimate_chunk_invariant(ds):
-    a, sa = mc_limiting_gram(ds, nu=1.0, samples=3000, seed=2, chunk=3000)
-    b, sb = mc_limiting_gram(ds, nu=1.0, samples=3000, seed=2, chunk=257)
-    assert np.allclose(a, b, atol=1e-12)
-    assert np.allclose(sa, sb, atol=1e-12)
+def test_mc_estimate_pass_size_invariant(ds, monkeypatch):
+    # the counts are exact integers, so the pass size leaves every bit alone
+    row_bytes = 8 * max(ds.n, ds.d)
+    results = []
+    # one pass, many with a short last one, whole passes, one draw per pass
+    for budget in (3000 * row_bytes, 257 * row_bytes, 1000 * row_bytes, 1):
+        monkeypatch.setattr(gram, "MC_PASS_BYTES", budget)
+        results.append(mc_limiting_gram(ds, samples=3000, seed=2))
+    for est, se in results[1:]:
+        assert np.array_equal(est, results[0][0])
+        assert np.array_equal(se, results[0][1])
 
 
 def test_mc_estimate_rejects_bad_sample_count(ds):
     with pytest.raises(ValueError, match="samples"):
-        mc_limiting_gram(ds, nu=1.0, samples=0, seed=0)
-    with pytest.raises(ValueError, match="chunk"):  # each pass would draw nothing
-        mc_limiting_gram(ds, nu=1.0, samples=10, seed=0, chunk=0)
+        mc_limiting_gram(ds, samples=0, seed=0)
 
 
 def test_eig_helpers():

@@ -46,16 +46,20 @@ def test_init_scale_is_exact():
     assert np.array_equal(scaled.a, base.a)
 
 
+@pytest.mark.parametrize("nu", [0.0, -1.0])
+def test_init_rejects_non_positive_scale(nu):
+    with pytest.raises(ValueError, match=f"nu must be positive, got {nu}"):
+        init_network(8, 4, nu=nu, seed=0)
+
+
 def test_params_validation():
     w = np.ones((3, 2))
     with pytest.raises(ValueError, match="\\+-1"):
-        NetworkParams(w=w, a=np.array([1.0, 2.0, -1.0]), nu=1.0, w0=w)
+        NetworkParams(w=w, a=np.array([1.0, 2.0, -1.0]), w0=w)
     with pytest.raises(ValueError, match="w0 shape"):
-        NetworkParams(w=w, a=np.ones(3), nu=1.0, w0=np.ones((2, 2)))
-    with pytest.raises(ValueError, match="nu"):
-        NetworkParams(w=w, a=np.ones(3), nu=0.0, w0=w)
+        NetworkParams(w=w, a=np.ones(3), w0=np.ones((2, 2)))
     with pytest.raises(ValueError, match="length"):
-        NetworkParams(w=w, a=np.ones(4), nu=1.0, w0=w)
+        NetworkParams(w=w, a=np.ones(4), w0=w)
 
 
 def test_with_weights_preserves_frozen_state(small_net):
@@ -86,7 +90,7 @@ def test_forward_rejects_wrong_dimension(small_net):
 def test_activation_ties_count_as_active(inputs):
     w = np.zeros((3, 5))
     w[1] = 1.0  # rows 0 and 2 give z = 0 everywhere
-    p = NetworkParams(w=w, a=np.ones(3), nu=1.0, w0=w.copy())
+    p = NetworkParams(w=w, a=np.ones(3), w0=w.copy())
     S = activation_pattern(p, inputs)
     assert S.shape == (len(inputs), 3) and S.dtype == np.float64
     assert np.array_equal(S[:, 0], np.ones(len(inputs)))

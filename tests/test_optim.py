@@ -44,7 +44,7 @@ def no_flip_instance(m=64, seed=0):
     rng = np.random.default_rng(seed)
     w = np.tile([10.0, 0.0], (m, 1)) + 0.01 * rng.standard_normal((m, 2))
     a = rng.choice([-1.0, 1.0], size=m)
-    p = NetworkParams(w=w, a=a, nu=1.0, w0=w.copy())
+    p = NetworkParams(w=w, a=a, w0=w.copy())
     u0, _ = forward(p, X)
     ds = ng.Dataset(X, u0 + np.array([0.5, -0.5]))
     return p, ds
@@ -421,8 +421,8 @@ def test_train_evaluates_network_once_per_iterate(monkeypatch, method):
 @pytest.mark.parametrize("method", ng.optim.METHODS)
 def test_train_forms_one_pre_activation_per_iterate(monkeypatch, method, diagnostics):
     # forward is the one evaluation of each iterate; its pattern serves the
-    # step and the diagnostics, so activation_pattern runs only for the
-    # drift reference S0 and jacobian never runs
+    # step and the diagnostics, and a run from w0 takes the drift reference
+    # S0 from its first forward, so activation_pattern and jacobian never run
     ds = synth_sphere(8, 4, seed=4)
     p = init_network(64, 4, nu=1.0, seed=5)
     calls = {"forward": 0, "activation_pattern": 0, "jacobian": 0}
@@ -445,9 +445,37 @@ def test_train_forms_one_pre_activation_per_iterate(monkeypatch, method, diagnos
     trace = train(p, ds, cfg)
     assert calls == {
         "forward": len(trace.records) + 1,
-        "activation_pattern": int(diagnostics),
+        "activation_pattern": 0,
         "jacobian": 0,
     }
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_train_drift_reference_is_the_pattern_at_w0(monkeypatch, moved):
+    # a run that starts away from w0 evaluates the pattern at w0 once; either
+    # way the drift column is that of S0 = activation_pattern at w0
+    ds = synth_sphere(8, 4, seed=4)
+    p = init_network(64, 4, nu=1.0, seed=5)
+    if moved:
+        p = p.with_weights(p.w + 0.3 * np.random.default_rng(0).standard_normal(p.w.shape))
+    S0 = ng.network.activation_pattern(p.with_weights(p.w0), ds.X)
+    calls = []
+    original = ng.network.activation_pattern
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ng.network, "activation_pattern", counting)
+    cfg = OptimizerConfig(eta=0.5, damping=0.0, max_steps=3, track_jacobian_drift=True)
+    trace = train(p, ds, cfg)
+    assert len(calls) == int(moved)
+    XXt = ds.X @ ds.X.T
+    current = p
+    for rec in trace.records:
+        current = ngd_exact_step(current, ds, eta=0.5, damping=0.0)
+        _, S = forward(current, ds.X)
+        assert rec.jacobian_drift == ng.gram.jacobian_drift(XXt, S, S0)
 
 
 def test_train_produces_contracting_trace():

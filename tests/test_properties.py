@@ -53,7 +53,7 @@ def instances(draw, max_extra_rows=6, wide=False):
     w = rng.standard_normal((m, d))
     w[tied] = 0.0
     a = rng.choice([-1.0, 1.0], size=m)
-    return NetworkParams(w=w, a=a, nu=1.0, w0=w.copy()), ds, rng
+    return NetworkParams(w=w, a=a, w0=w.copy()), ds, rng
 
 
 def rel_step_error(w, expected, w_before):

@@ -130,7 +130,7 @@ def test_condition2_requires_staying_in_ball():
     m = 8
     w = np.tile([10.0, 0.0], (m, 1))
     a = np.array([1.0, -1.0] * (m // 2))  # signs cancel: u0 = 0
-    p = NetworkParams(w=w, a=a, nu=1.0, w0=w.copy())
+    p = NetworkParams(w=w, a=a, w0=w.copy())
     ds = Dataset(X, np.array([1.0, -1.0]))
     rep0 = check_conditions(p, ds)
     assert rep0.condition2_holds
@@ -150,7 +150,7 @@ def test_condition2_fails_under_large_drift():
     m = 4
     w = np.tile([1.0, 1.0], (m, 1)) / np.sqrt(2.0)
     a = np.array([1.0, -1.0, 1.0, -1.0])
-    p = NetworkParams(w=w, a=a, nu=1.0, w0=w.copy())
+    p = NetworkParams(w=w, a=a, w0=w.copy())
     ds = Dataset(X, np.array([1.0, -1.0]))
     flipped = p.with_weights(-p.w)
     rep = check_conditions(flipped, ds)
@@ -169,10 +169,10 @@ def test_jacobian_drift_matches_dense_norm():
     m = 6
     w = np.tile([1.0, 1.0], (m, 1)) / np.sqrt(2.0)
     a = np.ones(m)
-    p = NetworkParams(w=w, a=a, nu=1.0, w0=w.copy())
+    p = NetworkParams(w=w, a=a, w0=w.copy())
     w2 = w.copy()
     w2[0] = [-1.0, 1.0]  # unit 0 now inactive on x_0, still active on x_1
-    moved = NetworkParams(w=w2, a=a, nu=1.0, w0=w.copy())
+    moved = NetworkParams(w=w2, a=a, w0=w.copy())
     ds = Dataset(X, np.ones(2))
     rep = check_conditions(moved, ds)
     assert rep.jacobian_drift == pytest.approx(1.0 / np.sqrt(m), abs=1e-12)
