@@ -16,6 +16,7 @@ params = ng.init_network(m=8, d=3, nu=1.0, seed=4)
 y = ds.y
 
 u0, S0 = ng.forward(params, ds.X)  # outputs and activation pattern at the start
+S0 = S0.astype(float)  # forward's bool pattern, converted once for the model's many products
 lin = ng.LinearizedModel(ng.JacobianView(ds.X, S0, params.a), params.w, u0, y)
 print(f"lambda_min(J J^T) = {lin.eig[0][0]:.4f}")
 

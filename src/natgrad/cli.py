@@ -679,6 +679,7 @@ def cmd_linearized(args) -> None:
     ds, _ = build_dataset(cfg)
     params = _init_params(cfg.model, ds)
     u0, S0 = network.forward(params, ds.X)
+    S0 = S0.astype(np.float64)  # once: the model's many products then go to BLAS whole
     lm = lin_mod.LinearizedModel(network.JacobianView(ds.X, S0, params.a), params.w, u0, ds.y)
     t_star = lin_mod.t_infinity(lm)
     ts = np.concatenate([[0.0], np.geomspace(1e-2, t_star, args.points - 1)])

@@ -11,17 +11,22 @@ Every consumer works with the factors (X, S, a); the dense n x (m*d)
 matrix is formed only by the test oracles.
 
 forward(p, X) is the one evaluation of an iterate: it forms the
-pre-activations X w^T once and returns both the outputs u and the pattern
-S, so a training step and its diagnostics read the same S.
-activation_pattern(p, X) gives S alone.  Both take the tie rule
-(w_r . x_i = 0 counts as active) from one private helper.  pack_pattern
-keeps a pattern at one bit per entry, and unpack_pattern gives it back.
+pre-activations X w^T once, BLOCK_BYTES of them at a time, and returns both
+the outputs u and the pattern S as an n x m bool array, so a training step
+and its diagnostics read the same S and no n x m float64 array is formed.
+activation_pattern(p, X) gives S alone, as float64 0/1.  Both take the tie
+rule (w_r . x_i = 0 counts as active) from one private helper.
+JacobianView's products accept either dtype: a float64 pattern goes to BLAS
+whole, a bool one one unit block at a time.  pack_pattern keeps a pattern
+at one bit per entry, and unpack_pattern gives it back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+BLOCK_BYTES = 2**20  # bytes of one unit block of float64 n x w work in forward and products
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,9 @@ class JacobianView:
     block r being scale[r] S[i, r] x_i.  Products apply scale = a / sqrt(m)
     on their m-sized side, so no signed n x m pattern is formed.  The
     products J vec(V) (apply_weights), J^T rho (grad_matrix) and
-    J J^T (gram.finite_gram) are all that consumers need.
+    J J^T (gram.finite_gram) are all that consumers need.  S is the 0/1
+    pattern as float64 or bool; a caller that takes many products converts
+    a bool S to float64 once.
     """
 
     X: np.ndarray
@@ -108,8 +115,27 @@ class JacobianView:
         """J.T @ rho reshaped to m x d: S^T diag(rho) X, rows times scale.
         A fresh array (the transpose of a d x m product): callers may
         scale it in place."""
-        G = (rho[:, None] * self.X).T @ self.S  # d x m
+        G = self.pattern_product((rho[:, None] * self.X).T)  # d x m
         return np.multiply(G, self.scale, out=G).T  # in place: no second d x m array
+
+    def pattern_product(self, M: np.ndarray) -> np.ndarray:
+        """M @ S for a k x n matrix M, as a fresh k x m float64 array.  A
+        float64 S goes to BLAS whole; any other 0/1 S (forward's bool one)
+        is converted one unit block at a time into one reused float64
+        buffer, so no n x m float64 copy is formed.  Each output column is
+        one unit's, so the blocks split no sum."""
+        if self.S.dtype == np.float64:
+            return M @ self.S
+        n, m = self.S.shape
+        out = np.empty((M.shape[0], m))
+        width = _block_width(n, m)
+        buf = np.empty(n * width)
+        for lo in range(0, m, width):
+            block = self.S[:, lo : lo + width]
+            F = buf[: block.size].reshape(block.shape)
+            np.copyto(F, block)  # exact: 0/1
+            np.matmul(M, F, out=out[:, lo : lo + width])
+        return out
 
 
 def init(m: int, d: int, nu: float, seed: int) -> NetworkParams:
@@ -129,35 +155,44 @@ def init(m: int, d: int, nu: float, seed: int) -> NetworkParams:
 
 def forward(p: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, S): the outputs u_i = (1/sqrt(m)) sum_r a_r max(w_r . x_i, 0) and
-    the n x m float64 0/1 activation pattern of the same pre-activations,
-    equal to activation_pattern(p, X).  X w^T is formed once; S reuses its
-    buffer."""
+    the n x m bool activation pattern of the same pre-activations, equal in
+    value to activation_pattern(p, X).  X w^T is formed once, one block of
+    units at a time in one reused n x w float64 buffer of at most
+    BLOCK_BYTES (one block when that covers m); the blocks' partial outputs
+    are summed in unit order."""
     X = _check_inputs(p, X)
-    Z = X @ p.w.T
-    active = _active(Z)  # bool, taken before max(Z, 0) overwrites the signs
-    u = (np.maximum(Z, 0.0, out=Z) @ p.a) / np.sqrt(p.m)  # in place
-    np.copyto(Z, active)  # S in Z's buffer: no second n x m float64 array
-    return u, Z
+    n, m = X.shape[0], p.m
+    width = _block_width(n, m)
+    buf = np.empty(n * width)
+    S = np.empty((n, m), dtype=bool)
+    u = None
+    for lo in range(0, m, width):
+        W = p.w[lo : lo + width]
+        Z = np.matmul(X, W.T, out=buf[: n * len(W)].reshape(n, len(W)))
+        _active(Z, out=S[:, lo : lo + width])  # taken before max(Z, 0) overwrites the signs
+        part = np.maximum(Z, 0.0, out=Z) @ p.a[lo : lo + width]  # in place
+        u = part if u is None else np.add(u, part, out=u)
+    return u / np.sqrt(m), S
 
 
 def activation_pattern(p: NetworkParams, X: np.ndarray) -> np.ndarray:
     """S[i, r] = 1{w_r . x_i >= 0} as an n x m float64 0/1 array (float64
     keeps its products in BLAS); ties count as active.  forward(p, X)
-    returns the same array alongside the outputs."""
+    returns the same pattern, as bool, alongside the outputs."""
     X = _check_inputs(p, X)
     Z = X @ p.w.T
     return _active(Z, out=Z)  # in place: no bool temporary
 
 
 def pack_pattern(S: np.ndarray) -> np.ndarray:
-    """The n x m 0/1 pattern S at one bit per entry: np.packbits along the
-    units, n x ceil(m / 8) uint8."""
+    """The n x m 0/1 pattern S, bool or numeric, at one bit per entry:
+    np.packbits along the units, n x ceil(m / 8) uint8."""
     return np.packbits(S != 0, axis=1)
 
 
 def unpack_pattern(packed: np.ndarray, m: int) -> np.ndarray:
     """The pattern that pack_pattern packed, as an n x m uint8 0/1 array:
-    the same counts and drift as the float64 S, at 1/8 of its bytes."""
+    the same counts and drift as forward's bool S, at the same bytes."""
     return np.unpackbits(packed, axis=1, count=m)
 
 
@@ -167,6 +202,12 @@ def jacobian(p: NetworkParams, X: np.ndarray) -> JacobianView:
     JacobianView(X, S, p.a) directly."""
     X = _check_inputs(p, X)
     return JacobianView(X=X, S=activation_pattern(p, X), a=p.a)
+
+
+def _block_width(n: int, m: int) -> int:
+    """Units per block of n x w float64 work: as many as BLOCK_BYTES holds,
+    at least 1 and at most m."""
+    return max(1, min(m, BLOCK_BYTES // (8 * n)))
 
 
 def _active(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -13,9 +13,10 @@ than the p x p parameter matrix, so its cost is governed by the sample
 count, not the parameter count.  K-FAC replaces the Gram inverse with a
 Kronecker factorization: a unit-side factor S~ S~^T and an input-side
 factor X^T X, each inverted separately.  S~ = S diag(a) / sqrt(m) for the
-0/1 pattern S of network.forward is never formed: S~ S~^T is
+bool pattern S of network.forward is never formed: S~ S~^T is
 gram.pre_activation_gram(S), and a / sqrt(m) scales the m x d side of each
-product.  Every direct solve is gram.guarded_solve, the one PD guard, whose
+product, which JacobianView.pattern_product forms one unit block at a
+time.  Every direct solve is gram.guarded_solve, the one PD guard, whose
 one Cholesky factor is reused by the solve: the output Gram's, the unit
 factor's and the input factor's.  With damping = 0 the unit factor's
 pseudoinverse is the fallback only when that guard fails.
@@ -24,14 +25,14 @@ train() drives any of these for a fixed number of steps and records a
 ConvergenceTrace: per-step residual norm, loss, weight drift from
 initialization, the predicted geometric bound on the squared residual,
 and optional diagnostics.  It evaluates the network once per iterate:
-the outputs and activation pattern from one network.forward call feed
-that iterate's record and diagnostics and the next step.  The trace also
-keeps the run's last activation pattern, bit-packed, so that
-theory.check_conditions reads it instead of evaluating the network at
-the final iterate again.  StepRecord's fields are the trace columns, and
-ConvergenceTrace.summary() is the one run summary that every report
-reuses.  The steps and OptimizerConfig share one range check of the step
-arguments.
+the outputs and bool activation pattern from one network.forward call
+feed that iterate's record and diagnostics and the next step, so no n x m
+float64 array is formed.  The trace also keeps the run's last activation
+pattern, bit-packed, so that theory.check_conditions reads it instead of
+evaluating the network at the final iterate again.  StepRecord's fields
+are the trace columns, and ConvergenceTrace.summary() is the one run
+summary that every report reuses.  The steps and OptimizerConfig share one
+range check of the step arguments.
 """
 from __future__ import annotations
 
@@ -364,7 +365,7 @@ def kfac_step(
             "input factor X^T X is rank deficient; K-FAC needs rank-d inputs "
             f"(lambda_min = {gram.min_eig(XtX):.3e} <= {PD_FLOOR:.0e})"
         )
-    update = inner @ jv.S  # (X^T X)^-1 middle^T S, d x m
+    update = jv.pattern_product(inner)  # (X^T X)^-1 middle^T S, d x m
     update *= jv.scale  # in place: S~^T middle (X^T X)^-1, transposed
     return _updated(p, eta, update.T)
 
@@ -518,6 +519,7 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         weight_drift = _norm(diff)
         np.multiply(diff, diff, out=diff)  # in place: squared drift per entry
         unit_drift = math.sqrt(float(np.max(np.add.reduce(diff, axis=1))))
+        del diff  # an m x d array; not kept through the next step
         rec = StepRecord(
             k=k,
             residual_norm=residual_norm,

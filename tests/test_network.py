@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 import oracles
+from natgrad import network
 from natgrad import (
+    JacobianView,
     NetworkParams,
     activation_pattern,
     forward,
@@ -80,6 +82,31 @@ def test_forward_single_input(small_net, inputs):
     u, S = forward(small_net, inputs[0])
     assert u.shape == (1,) and S.shape == (1, small_net.m)
     assert u[0] == pytest.approx(forward(small_net, inputs)[0][0])
+
+
+@pytest.mark.parametrize("width", [None, 16, 1])  # None: one block covers m
+def test_unit_blocks_change_only_summation_order(monkeypatch, width):
+    # forward and pattern_product split the units into BLOCK_BYTES-sized
+    # blocks (16 gives ragged 16 + 16 + 16 + 2); the pattern is the same
+    # bits at every width, and u and M @ S move by summation order only
+    ds = synth_sphere(9, 5, seed=3)
+    p = init_network(50, 5, nu=1.0, seed=2)
+    M = np.random.default_rng(4).standard_normal((4, ds.n))
+    Z = ds.X @ p.w.T
+    u_whole = (np.maximum(Z, 0.0) @ p.a) / np.sqrt(p.m)
+    S_whole = Z >= 0.0
+    product_whole = M @ S_whole.astype(np.float64)
+    if width is not None:
+        monkeypatch.setattr(network, "BLOCK_BYTES", 8 * ds.n * width)
+    u, S = forward(p, ds.X)
+    product = JacobianView(ds.X, S, p.a).pattern_product(M)
+    assert S.dtype == np.bool_ and S.tobytes() == S_whole.tobytes()
+    if width is None:
+        assert u.tobytes() == u_whole.tobytes()
+        assert product.tobytes() == product_whole.tobytes()
+    else:
+        assert np.abs(u - u_whole).max() <= 1e-13 * np.abs(u_whole).max()
+        assert np.abs(product - product_whole).max() <= 1e-13 * np.abs(product_whole).max()
 
 
 def test_forward_rejects_wrong_dimension(small_net):

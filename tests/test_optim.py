@@ -2,6 +2,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -448,6 +449,23 @@ def test_train_forms_one_pre_activation_per_iterate(monkeypatch, method, diagnos
         "activation_pattern": 0,
         "jacobian": 0,
     }
+
+
+@pytest.mark.parametrize("method", ["gd", "ngd_exact", "kfac"])
+def test_train_peak_memory_below_one_float64_pattern(method):
+    # the pattern is carried as bool and X W^T is formed one unit block at
+    # a time, so no n x m float64 array exists: at n = 128, m = 131072 one
+    # such array alone is 128 MiB, and a float64 pattern next to whole
+    # pre-activations peaks at about 257 MiB
+    ds = synth_sphere(128, 32, seed=0)
+    p = init_network(131072, 32, nu=1.0, seed=1)
+    tracemalloc.start()
+    try:
+        train(p, ds, OptimizerConfig(method=method, eta=0.5, max_steps=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("moved", [False, True])

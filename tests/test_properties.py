@@ -75,13 +75,13 @@ def damped_gram(p, ds, damping):
 @PROPERTY
 @given(instances())
 def test_forward_matches_loop_oracle_and_pattern(instance):
-    # one X w^T gives both: u as the loop oracle computes it, and S bit for
-    # bit the array activation_pattern forms on its own
+    # one X w^T gives both: u as the loop oracle computes it, and S as bool,
+    # equal in value to the float64 array activation_pattern forms on its own
     p, ds, _ = instance
     u, S = forward(p, ds.X)
     assert np.allclose(u, oracles.relu_forward_loops(p.w, p.a, ds.X), atol=1e-14)
-    assert S.dtype == np.float64 and S.shape == (ds.n, p.m)
-    assert S.tobytes() == activation_pattern(p, ds.X).tobytes()
+    assert S.dtype == np.bool_ and S.shape == (ds.n, p.m)
+    assert np.array_equal(S, activation_pattern(p, ds.X))
     J = oracles.dense_jacobian_loops(p.w, p.a, ds.X).reshape(ds.n, p.m, p.d)
     assert np.array_equal(S, np.any(J != 0.0, axis=2))  # the oracle's ties count too
 
