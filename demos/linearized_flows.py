@@ -16,7 +16,6 @@ params = ng.init_network(m=8, d=3, nu=1.0, seed=4)
 y = ds.y
 
 u0, S0 = ng.forward(params, ds.X)  # outputs and activation pattern at the start
-S0 = S0.astype(float)  # forward's bool pattern, converted once for the model's many products
 lin = ng.LinearizedModel(ng.JacobianView(ds.X, S0, params.a), params.w, u0, y)
 print(f"lambda_min(J J^T) = {lin.eig[0][0]:.4f}")
 
@@ -24,8 +23,7 @@ print("\nresiduals along the two flows:")
 print(f"{'t':>6} {'gradient flow':>16} {'natural flow':>16} {'exp(-t) r0':>12}")
 r0 = np.linalg.norm(y - lin.u0)
 for t in (0.0, 0.5, 1.0, 2.0, 4.0):
-    rg = np.linalg.norm(y - ng.outputs_at(lin, ng.gd_trajectory(lin, t)))
-    rn = np.linalg.norm(y - ng.outputs_at(lin, ng.ngd_trajectory(lin, t)))
+    rg, rn, _ = ng.flow_norms(lin, t)
     print(f"{t:6.2f} {rg:16.6e} {rn:16.6e} {np.exp(-t) * r0:12.6e}")
 
 T = ng.t_infinity(lin)

@@ -39,6 +39,7 @@ from .gram import (
 )
 from .linearized import (
     LinearizedModel,
+    flow_norms,
     gd_trajectory,
     limit_weights,
     ngd_discrete,
@@ -104,6 +105,7 @@ __all__ = [
     "cg_solve",
     "check_conditions",
     "finite_gram",
+    "flow_norms",
     "forster_transform",
     "forward",
     "gd_step",

@@ -127,7 +127,7 @@ def _formats(value, path: str) -> list:
 # (and logcosh's mu by optim.logcosh_loss).
 SCHEMA = {
     "preprocess": {"forster": ("bool", False), "normalize": ("bool", False)},
-    "model": {"m": ("int", 1024, 1), "nu": ("positive", 1.0), "seed": ("int", 0)},
+    "model": {"m": ("int", 1024, 1), "nu": ("positive", 1.0), "seed": ("int", 0, 0)},
     "optimizer": {
         "method": ("str", "ngd_exact"),
         "eta": ("float", 0.5),
@@ -143,7 +143,7 @@ SCHEMA = {
     "data.synth": {
         "n": ("int", 16, 2),
         "d": ("int", 8, 2),
-        "seed": ("int", 0),
+        "seed": ("int", 0, 0),
         "target_model": (data_mod.TARGET_MODELS, "random_pm1"),
     },
 }
@@ -477,6 +477,7 @@ def _apply_overrides(
 ) -> tuple[ExperimentConfig, dict]:
     overrides: dict = {}
     if seed is not None:
+        seed = _coerce(seed, "int", "--seed", 0)
         cfg = dataclasses.replace(cfg, model={**cfg.model, "seed": seed})
         overrides["model.seed"] = seed
     if out:
@@ -679,26 +680,16 @@ def cmd_linearized(args) -> None:
     ds, _ = build_dataset(cfg)
     params = _init_params(cfg.model, ds)
     u0, S0 = network.forward(params, ds.X)
-    S0 = S0.astype(np.float64)  # once: the model's many products then go to BLAS whole
     lm = lin_mod.LinearizedModel(network.JacobianView(ds.X, S0, params.a), params.w, u0, ds.y)
     t_star = lin_mod.t_infinity(lm)
     ts = np.concatenate([[0.0], np.geomspace(1e-2, t_star, args.points - 1)])
     ts[-1] = t_star  # geomspace with one sample returns its start, 1e-2
-    rows = []
-    for t in ts:
-        w_gd = lin_mod.gd_trajectory(lm, float(t))
-        w_ngd = lin_mod.ngd_trajectory(lm, float(t))
-        rows.append((
-            t,
-            np.linalg.norm(ds.y - lin_mod.outputs_at(lm, w_gd)),
-            np.linalg.norm(ds.y - lin_mod.outputs_at(lm, w_ngd)),
-            np.linalg.norm(w_gd - w_ngd),
-        ))
+    rows = [(t, *lin_mod.flow_norms(lm, float(t))) for t in ts]
     path = Path(cfg.output["dir"]) / "linearized.csv"
     header = ("t", "residual_gd", "residual_ngd", "weight_gap")
     _atomic_write_text(path, data_mod.csv_table(header, rows))
-    limit = lin_mod.limit_weights(lm)
     if not args.quiet:
+        limit = lin_mod.limit_weights(lm)
         print(
             _dump_json(
                 {

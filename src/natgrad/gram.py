@@ -102,8 +102,8 @@ def finite_gram(jv: JacobianView) -> np.ndarray:
 def jacobian_drift(XXt: np.ndarray, S: np.ndarray, S0: np.ndarray) -> float:
     """||J - J0||_2 through n x n products only.
 
-    XXt is X X^T; S and S0 are the 0/1 (or bool) activation patterns of
-    J and J0.  J - J0 is the Jacobian factor pair (X, D a / sqrt(m)) with
+    XXt is X X^T; S and S0 are the bool activation patterns of J and
+    J0.  J - J0 is the Jacobian factor pair (X, D a / sqrt(m)) with
     D = S - S0 in {-1, 0, 1}, so (J - J0)(J - J0)^T = (X X^T) o (D D^T) / m
     and the spectral norm is the square root of its top eigenvalue, found
     by _top_eigenvalue.  The counts D D^T are exact, so an unchanged

@@ -14,10 +14,13 @@ residual by exactly (1 - eta) per step, reaching y in one step at eta = 1.
 
 J is the network's factored Jacobian (a network.JacobianView), never the
 dense n x (m*d) matrix: weights are m x d arrays, J v is apply_weights,
-J^T v is grad_matrix and G is gram.finite_gram.
+J^T v is grad_matrix and G is gram.finite_gram.  Both flows are diagonal in
+the eigenbasis G = V diag(lam) V^T, so flow_norms gives their residuals and
+weight gap from n-sized vectors, with no m x d array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +73,7 @@ def outputs_at(lm: LinearizedModel, w: np.ndarray) -> np.ndarray:
 
 def gd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
     """Gradient-flow weights at time t, via eigendecomposition of G."""
-    if not t >= 0:  # NaN fails; t = inf is the limit
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     lam, V = lm.eig
     rho0 = lm.y - lm.u0
     coeff = (1.0 - np.exp(-lam * t)) / lam
@@ -80,9 +82,22 @@ def gd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
 
 def ngd_trajectory(lm: LinearizedModel, t: float) -> np.ndarray:
     """Natural-gradient-flow weights at time t."""
-    if not t >= 0:  # NaN fails; t = inf is the limit
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     return (1.0 - np.exp(-t)) * lm.jv.grad_matrix(_solve_gram(lm, lm.y - lm.u0)) + lm.w0
+
+
+def flow_norms(lm: LinearizedModel, t: float) -> tuple[float, float, float]:
+    """(||y - u_gd(t)||, ||y - u_ngd(t)||, ||w_gd(t) - w_ngd(t)||) in the
+    eigenbasis of G, from c = V^T (y - u0): the residuals are
+    ||e^{-lam t} c|| and e^{-t} ||c||, and with
+    q = (e^{-t} - e^{-lam t}) c / lam the weight gap J^T V q has norm
+    sqrt(q^T diag(lam) q)."""
+    _check_time(t)
+    lam, V = lm.eig
+    c = V.T @ (lm.y - lm.u0)
+    decay = np.exp(-lam * t)
+    q = (math.exp(-t) - decay) * c / lam
+    return np.linalg.norm(decay * c), math.exp(-t) * np.linalg.norm(c), math.sqrt(q @ (lam * q))
 
 
 def ngd_discrete(
@@ -113,6 +128,11 @@ def limit_weights(lm: LinearizedModel) -> np.ndarray:
     """Common t -> infinity point of both flows: w0 + J^T G^{-1} (y - u0),
     the least-norm solution of J (w - w0) = y - u0."""
     return ngd_trajectory(lm, np.inf)
+
+
+def _check_time(t: float) -> None:
+    if not t >= 0:  # NaN fails; t = inf is the limit
+        raise ValueError(f"time must be nonnegative, got {t}")
 
 
 def _solve_gram(lm: LinearizedModel, v: np.ndarray) -> np.ndarray:

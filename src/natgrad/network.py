@@ -10,15 +10,14 @@ S (n x m, 0/1) and the input matrix, with unit r scaled by a_r / sqrt(m).
 Every consumer works with the factors (X, S, a); the dense n x (m*d)
 matrix is formed only by the test oracles.
 
-forward(p, X) is the one evaluation of an iterate: it forms the
-pre-activations X w^T once, BLOCK_BYTES of them at a time, and returns both
+forward(p, X) is the one evaluation of an iterate and the one producer of
+S: it forms the pre-activations X w^T once, BLOCK_BYTES of them at a time,
+applies the tie rule (w_r . x_i = 0 counts as active), and returns both
 the outputs u and the pattern S as an n x m bool array, so a training step
 and its diagnostics read the same S and no n x m float64 array is formed.
-activation_pattern(p, X) gives S alone, as float64 0/1.  Both take the tie
-rule (w_r . x_i = 0 counts as active) from one private helper.
-JacobianView's products accept either dtype: a float64 pattern goes to BLAS
-whole, a bool one one unit block at a time.  pack_pattern keeps a pattern
-at one bit per entry, and unpack_pattern gives it back.
+activation_pattern(p, X) is forward's S alone.  JacobianView's products
+take the bool S one unit block at a time.  pack_pattern keeps a pattern at
+one bit per entry, and unpack_pattern gives it back as bool.
 """
 from __future__ import annotations
 
@@ -80,9 +79,8 @@ class JacobianView:
     block r being scale[r] S[i, r] x_i.  Products apply scale = a / sqrt(m)
     on their m-sized side, so no signed n x m pattern is formed.  The
     products J vec(V) (apply_weights), J^T rho (grad_matrix) and
-    J J^T (gram.finite_gram) are all that consumers need.  S is the 0/1
-    pattern as float64 or bool; a caller that takes many products converts
-    a bool S to float64 once.
+    J J^T (gram.finite_gram) are all that consumers need.  S is forward's
+    bool pattern.
     """
 
     X: np.ndarray
@@ -119,13 +117,10 @@ class JacobianView:
         return np.multiply(G, self.scale, out=G).T  # in place: no second d x m array
 
     def pattern_product(self, M: np.ndarray) -> np.ndarray:
-        """M @ S for a k x n matrix M, as a fresh k x m float64 array.  A
-        float64 S goes to BLAS whole; any other 0/1 S (forward's bool one)
-        is converted one unit block at a time into one reused float64
-        buffer, so no n x m float64 copy is formed.  Each output column is
-        one unit's, so the blocks split no sum."""
-        if self.S.dtype == np.float64:
-            return M @ self.S
+        """M @ S for a k x n matrix M, as a fresh k x m float64 array.  The
+        bool S is converted one unit block at a time into one reused
+        float64 buffer, so no n x m float64 copy is formed.  Each output
+        column is one unit's, so the blocks split no sum."""
         n, m = self.S.shape
         out = np.empty((M.shape[0], m))
         width = _block_width(n, m)
@@ -155,11 +150,10 @@ def init(m: int, d: int, nu: float, seed: int) -> NetworkParams:
 
 def forward(p: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, S): the outputs u_i = (1/sqrt(m)) sum_r a_r max(w_r . x_i, 0) and
-    the n x m bool activation pattern of the same pre-activations, equal in
-    value to activation_pattern(p, X).  X w^T is formed once, one block of
-    units at a time in one reused n x w float64 buffer of at most
-    BLOCK_BYTES (one block when that covers m); the blocks' partial outputs
-    are summed in unit order."""
+    the n x m bool activation pattern of the same pre-activations.  X w^T
+    is formed once, one block of units at a time in one reused n x w
+    float64 buffer of at most BLOCK_BYTES (one block when that covers m);
+    the blocks' partial outputs are summed in unit order."""
     X = _check_inputs(p, X)
     n, m = X.shape[0], p.m
     width = _block_width(n, m)
@@ -176,24 +170,21 @@ def forward(p: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def activation_pattern(p: NetworkParams, X: np.ndarray) -> np.ndarray:
-    """S[i, r] = 1{w_r . x_i >= 0} as an n x m float64 0/1 array (float64
-    keeps its products in BLAS); ties count as active.  forward(p, X)
-    returns the same pattern, as bool, alongside the outputs."""
-    X = _check_inputs(p, X)
-    Z = X @ p.w.T
-    return _active(Z, out=Z)  # in place: no bool temporary
+    """S[i, r] = (w_r . x_i >= 0) as an n x m bool array, ties active:
+    forward's pattern without its outputs."""
+    return forward(p, X)[1]
 
 
 def pack_pattern(S: np.ndarray) -> np.ndarray:
-    """The n x m 0/1 pattern S, bool or numeric, at one bit per entry:
-    np.packbits along the units, n x ceil(m / 8) uint8."""
-    return np.packbits(S != 0, axis=1)
+    """The n x m bool pattern S at one bit per entry: np.packbits along the
+    units, n x ceil(m / 8) uint8."""
+    return np.packbits(S, axis=1)
 
 
 def unpack_pattern(packed: np.ndarray, m: int) -> np.ndarray:
-    """The pattern that pack_pattern packed, as an n x m uint8 0/1 array:
-    the same counts and drift as forward's bool S, at the same bytes."""
-    return np.unpackbits(packed, axis=1, count=m)
+    """The pattern that pack_pattern packed, as the n x m bool array it
+    was."""
+    return np.unpackbits(packed, axis=1, count=m).view(bool)
 
 
 def jacobian(p: NetworkParams, X: np.ndarray) -> JacobianView:
@@ -210,9 +201,9 @@ def _block_width(n: int, m: int) -> int:
     return max(1, min(m, BLOCK_BYTES // (8 * n)))
 
 
-def _active(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Z >= 0, the activation rule for network weights (ties active), as a
-    bool array or written as 0/1 into out.  The one place it is written."""
+def _active(Z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Z >= 0 written into the bool array out: the activation rule for
+    network weights (ties active).  The one place it is written."""
     return np.greater_equal(Z, 0.0, out=out)
 
 

@@ -187,16 +187,12 @@ def _solve_gram(
     return z
 
 
-def _norm(v: np.ndarray) -> float:
-    """sqrt(v . v), np.linalg.norm(v)'s bits; optim calls numpy.linalg for pinv only."""
-    return math.sqrt(float(v.ravel().dot(v.ravel())))
-
-
 def _residual_norm(u: np.ndarray, ds: Dataset, step: int) -> float:
     """||u - y||, raising DivergenceError at `step` when it is not finite
     (non-finite outputs, or a square sum beyond float range)."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
-        r = _norm(u - ds.y)
+        rho = u - ds.y
+        r = math.sqrt(float(rho @ rho))  # np.linalg.norm's bits, with no numpy.linalg call
     if not math.isfinite(r):
         raise DivergenceError(
             f"training diverged at step {step}: residual norm is {r}", step=step
@@ -516,10 +512,12 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
             jac_drift = gram.jacobian_drift(XXt, S, S0)
 
         diff = current.w - current.w0
-        weight_drift = _norm(diff)
-        np.multiply(diff, diff, out=diff)  # in place: squared drift per entry
-        unit_drift = math.sqrt(float(np.max(np.add.reduce(diff, axis=1))))
+        # squared drift per unit, summed by numpy and not by a BLAS dot, so
+        # the bits do not depend on the BLAS thread count
+        unit_sq = np.add.reduce(np.multiply(diff, diff, out=diff), axis=1)
         del diff  # an m x d array; not kept through the next step
+        weight_drift = math.sqrt(float(np.add.reduce(unit_sq)))
+        unit_drift = math.sqrt(float(np.max(unit_sq)))
         rec = StepRecord(
             k=k,
             residual_norm=residual_norm,

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -478,6 +479,30 @@ def test_train_rerun_is_byte_identical(tmp_path, capsys):
     assert manifest1 == manifest2
 
 
+def test_train_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """The README config at 1 and at 2 BLAS threads, into the same path one
+    run after the other, writes the same bytes; only the manifest's
+    created differs."""
+    cfgp = write_config(tmp_path, README_CONFIG)
+    src = str(Path(ng.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "natgrad", "train", "--config", cfgp, "--quiet"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / README_CONFIG["output"]["dir"]
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        manifest = json.loads(files.pop("manifest.json"))
+        manifest.pop("created")
+        runs.append((files, manifest))
+    assert len(runs[0][0]) == 10  # data.csv and three cells of trace csv/json and conditions
+    assert runs[0] == runs[1]
+
+
 def test_train_seed_and_out_overrides(tmp_path, capsys):
     cfg = base_config(tmp_path / "ignored")
     cfgp = write_config(tmp_path, cfg)
@@ -573,6 +598,8 @@ SCHEMA_VIOLATIONS = [
     ({"model": {"nu": 0}}, "config.model", "nu"),
     ({"model": {"nu": 10**400}}, "config.model", "nu"),
     ({"model": {"seed": "0"}}, "config.model", "seed"),
+    ({"model": {"seed": -1}}, "config.model", "seed"),
+    ({"data": {"synth": {"seed": -3}}}, "config.data.synth", "seed"),
     ({"optimizer": {"method": "adam"}}, "config.optimizer", "method"),
     ({"optimizer": {"eta": -1.0}}, "config.optimizer", "eta"),
     ({"optimizer": {"eta": float("inf")}}, "config.optimizer", "eta"),
@@ -590,6 +617,7 @@ SCHEMA_VIOLATIONS = [
     ({"sweeps": {"eta": [0.5, -1]}}, "config.sweeps", "eta"),
     ({"sweeps": {"m": [8, 0]}}, "config.sweeps", "m"),
     ({"sweeps": {"seed": [True]}}, "config.sweeps", "seed"),
+    ({"sweeps": {"seed": [1, -2]}}, "config.sweeps", "seed"),
     ({"sweeps": {"gamma": [1]}}, "config.sweeps", "gamma"),
 ]
 
@@ -603,6 +631,13 @@ def test_config_schema_violations_exit_one(tmp_path, capsys):
         prefix = f"natgrad: config error: {block}"
         assert err.startswith(prefix), f"case {i}: {err}"
         assert re.search(rf"\b{field}\b", err[len(prefix):]), f"case {i}: {err}"
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    cfgp = write_config(tmp_path, base_config(tmp_path / "run"))
+    assert main(["train", "--config", cfgp, "--seed", "-5", "--quiet"]) == 1
+    assert capsys.readouterr().err == "natgrad: config error: --seed: must be >= 0, got -5\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_malformed_json_exits_three(tmp_path, capsys):
@@ -909,6 +944,29 @@ def test_linearized_peak_memory_below_dense_jacobian(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < n * m * d * 8, f"peak {peak / 2**20:.1f} MiB"  # the dense J alone: 33.5 MB
+
+
+@pytest.mark.parametrize("quiet", [True, False])
+def test_linearized_rows_form_no_weights(tmp_path, capsys, monkeypatch, quiet):
+    """The rows come from n-sized vectors in the eigenbasis: no product
+    with the Jacobian per time point.  Only the printed summary's
+    limit_residual forms weights, one J^T and one J product."""
+    calls = {"grad_matrix": 0, "apply_weights": 0}
+    for name in calls:
+        original = getattr(ng.network.JacobianView, name)
+
+        def counted(self, v, name=name, original=original):
+            calls[name] += 1
+            return original(self, v)
+
+        monkeypatch.setattr(ng.network.JacobianView, name, counted)
+    cfgp = write_config(tmp_path, base_config(tmp_path / "lin"))
+    argv = ["linearized", "--config", cfgp, "--points", "50"] + ["--quiet"] * quiet
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len((tmp_path / "lin" / "linearized.csv").read_text().splitlines()) == 1 + 50
+    expected = 0 if quiet else 1
+    assert calls == {"grad_matrix": expected, "apply_weights": expected}
 
 
 def test_linearized_two_points_end_at_t_star(tmp_path, capsys):

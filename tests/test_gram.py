@@ -63,7 +63,8 @@ def test_coactivation_counts_are_exact():
 
 def test_pre_activation_gram_is_float64_count_product(ds):
     S = activation_pattern(init_network(1000, 4, nu=1.0, seed=1), ds.X)
-    assert np.array_equal(pre_activation_gram(S), (S @ S.T) / 1000)
+    F = S.astype(np.float64)
+    assert np.array_equal(pre_activation_gram(S), (F @ F.T) / 1000)
 
 
 def test_pattern_gram_in_place_matches_out_of_place_product(ds):
@@ -72,8 +73,8 @@ def test_pattern_gram_in_place_matches_out_of_place_product(ds):
     # and leaves X X^T as it was
     XXt = ds.X @ ds.X.T
     before = XXt.copy()
-    S = activation_pattern(init_network(1000, 4, nu=1.0, seed=1), ds.X)
-    S0 = activation_pattern(init_network(1000, 4, nu=1.0, seed=2), ds.X)
+    S = activation_pattern(init_network(1000, 4, nu=1.0, seed=1), ds.X).astype(np.float64)
+    S0 = activation_pattern(init_network(1000, 4, nu=1.0, seed=2), ds.X).astype(np.float64)
     for P in (S, S - S0):
         assert np.array_equal(gram.pattern_gram(XXt, P), XXt * ((P @ P.T) / 1000))
     assert np.array_equal(XXt, before)

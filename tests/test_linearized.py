@@ -13,8 +13,11 @@ import oracles
 from natgrad import (
     LinearizedModel,
     SingularMatrixError,
+    flow_norms,
+    forward,
     gd_trajectory,
     init_network,
+    JacobianView,
     jacobian,
     limit_weights,
     logcosh_loss,
@@ -174,3 +177,25 @@ def test_t_infinity_scales_with_slow_modes():
     slow = LinearizedModel(jv=replace(jv, X=0.1 * jv.X), **base)
     assert t_infinity(slow) > t_infinity(fast)
     assert t_infinity(fast) == pytest.approx(np.log(1e12))  # lambda_min > 1 capped
+
+
+def test_flow_norms_match_the_weight_space_route():
+    # the eigenbasis formulas against m x d weights: residuals through
+    # outputs_at of each flow's weights, gap as the norm of their difference
+    ds = synth_sphere(16, 8, seed=3)
+    p = init_network(4096, 8, nu=1.0, seed=4)
+    u0, S0 = forward(p, ds.X)
+    lm = LinearizedModel(jv=JacobianView(ds.X, S0, p.a), w0=p.w, u0=u0, y=ds.y)
+    tol = 1e-12 * np.linalg.norm(ds.y - u0)
+    for t in (0.0, 0.1, 1.0, t_infinity(lm)):
+        w_gd, w_ngd = gd_trajectory(lm, t), ngd_trajectory(lm, t)
+        expected = (
+            np.linalg.norm(lm.y - outputs_at(lm, w_gd)),
+            np.linalg.norm(lm.y - outputs_at(lm, w_ngd)),
+            np.linalg.norm(w_gd - w_ngd),
+        )
+        assert np.allclose(flow_norms(lm, t), expected, rtol=0.0, atol=tol), t
+    assert flow_norms(lm, 0.0)[2] == 0.0
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            flow_norms(lm, bad)

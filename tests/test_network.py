@@ -1,4 +1,6 @@
 """ReLU network forward map and Jacobian factors."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,9 +121,24 @@ def test_activation_ties_count_as_active(inputs):
     w[1] = 1.0  # rows 0 and 2 give z = 0 everywhere
     p = NetworkParams(w=w, a=np.ones(3), w0=w.copy())
     S = activation_pattern(p, inputs)
-    assert S.shape == (len(inputs), 3) and S.dtype == np.float64
+    assert S.shape == (len(inputs), 3) and S.dtype == bool
     assert np.array_equal(S[:, 0], np.ones(len(inputs)))
     assert np.array_equal(S[:, 2], np.ones(len(inputs)))
+
+
+def test_jacobian_peak_memory_is_a_bool_pattern():
+    # the view holds forward's bool pattern (16 MiB at n = 128, m = 131072)
+    # and forward's one 1 MiB block; a float64 pattern alone is 128 MiB
+    X = synth_sphere(128, 32, seed=0).X
+    p = init_network(131072, 32, nu=1.0, seed=1)
+    tracemalloc.start()
+    try:
+        jv = jacobian(p, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert jv.S.dtype == bool
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_jacobian_dense_matches_loop_oracle(small_net, inputs):

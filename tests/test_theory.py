@@ -1,6 +1,7 @@
 """Convergence conditions, rate predictions, and sample-size bounds."""
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -315,6 +316,21 @@ def test_report_from_the_trace_evaluates_the_network_at_w0_only(monkeypatch):
     monkeypatch.setattr(network, "activation_pattern", None)  # any call fails
     check_conditions(trace.final_params, ds, trace=trace)
     assert at_w0 == [True]
+
+
+def test_check_conditions_peak_memory_below_one_float64_pattern():
+    # from moved weights the pattern at p is forward's bool one: at
+    # n = 128, m = 131072 one n x m float64 array alone is 128 MiB
+    ds = synth_sphere(128, 32, seed=0)
+    p = init_network(131072, 32, nu=1.0, seed=1)
+    moved = p.with_weights(p.w + 0.01)
+    tracemalloc.start()
+    try:
+        check_conditions(moved, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_run_not_started_at_w0_falls_back_to_the_forward_at_w0(monkeypatch):
