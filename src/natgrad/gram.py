@@ -10,7 +10,9 @@ product of X X^T and S S^T / m, which is how it is computed here, from
 the factored Jacobian: finite_gram is the one J J^T in the package, and
 coactivation forms every count product S S^T (K-FAC's too).  Every
 builder returns the n x n array itself.  guarded_solve is the one PD
-guard and direct solve: the guard's Cholesky factor solves, with one
+guard and direct solve: the guard factors A - PD_FLOOR I left-looking in
+SOLVE_PANEL-column panels, most of its flops BLAS products, with no
+shifted copy of A; that factor and its panels' inverses solve, with one
 refinement step, and a matrix too near the floor for that step is solved
 by LU.  The output Gram, both K-FAC factors and G_inf go through it.
 spectrum is the symmetry-checked eigenvalue solve that every other
@@ -32,7 +34,7 @@ from .network import JacobianView
 SYMMETRY_TOL = 1e-9
 PD_FLOOR = 1e-12  # lambda_min (+ damping) a matrix needs to count as positive definite
 FLOAT32_EXACT_LIMIT = 2**24  # float32 represents every integer of smaller magnitude
-SOLVE_PANEL = 64  # rows per panel of guarded_solve's triangular substitutions
+SOLVE_PANEL = 64  # columns per panel of guarded_solve's factor and rows per substitution panel
 REFINE_TOL = math.sqrt(np.finfo(float).eps)  # guarded_solve's largest accepted |z| / |x|
 LANCZOS_MIN_N = 256  # at or below this many rows eigvalsh is as fast as Lanczos
 LANCZOS_MAX_ITERS = 64  # Lanczos steps before falling back to eigvalsh
@@ -185,23 +187,19 @@ def guarded_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve A x = rhs if A - PD_FLOOR I has a Cholesky factor L, the guard
     for lambda_min(A) > PD_FLOOR (safely positive definite); else None.
 
-    L is the one factorization, reused by the solve.  The substitution
-    solve x = (L L^T)^-1 rhs is off by about q = PD_FLOOR / (lambda_min -
-    PD_FLOOR); z = (L L^T)^-1 (rhs - A x) is that error to within a factor
-    1 + q, so when z is below REFINE_TOL |x| the refined x + z is returned,
-    its error shrunk by q again: one refinement step, one product with A.
-    A larger z, lambda_min within about PD_FLOOR / REFINE_TOL, means the
-    step has not converged, and A is solved by LU instead.  A is never
-    written.
+    L is the one factorization, made by _shifted_cholesky one SOLVE_PANEL
+    panel at a time, and reused by the solve together with the inverses of
+    its diagonal blocks.  The substitution solve x = (L L^T)^-1 rhs is off
+    by about q = PD_FLOOR / (lambda_min - PD_FLOOR); z = (L L^T)^-1 (rhs -
+    A x) is that error to within a factor 1 + q, so when z is below
+    REFINE_TOL |x| the refined x + z is returned, its error shrunk by q
+    again: one refinement step, one product with A.  A larger z,
+    lambda_min within about PD_FLOOR / REFINE_TOL, means the step has not
+    converged, and A is solved by LU instead.  A is never written.
     """
-    n = A.shape[0]
-    shifted = A.copy()
-    shifted.flat[:: n + 1] -= PD_FLOOR
-    try:
-        L = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
+    if (factor := _shifted_cholesky(A)) is None:
         return None
-    precondition = _cholesky_substitution(L)
+    precondition = _cholesky_substitution(*factor)
     x = precondition(rhs)
     z = precondition(rhs - A @ x)
     if np.vdot(z, z) <= REFINE_TOL**2 * np.vdot(x, x):
@@ -209,15 +207,48 @@ def guarded_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(A, rhs)
 
 
-def _cholesky_substitution(L: np.ndarray):
+def _shifted_cholesky(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """(L, inverses) with L L^T = A - PD_FLOOR I, or None when that has no
+    Cholesky factor.
+
+    Left-looking and blocked (Golub & Van Loan 4.2.9): for each panel of
+    SOLVE_PANEL columns [lo, hi), A[lo:, lo:hi] - L[lo:, :lo] L[lo:hi, :lo]^T
+    is formed by one BLAS product into one reused n x SOLVE_PANEL buffer,
+    PD_FLOOR comes off its diagonal block alone, np.linalg.cholesky factors
+    that block, and the rows below it are the rest of the panel times the
+    block's inverse transposed.  The inverses, one per panel and made by
+    np.linalg.solve, are returned for _cholesky_substitution.  No shifted
+    copy of A is formed; a matrix of at most SOLVE_PANEL rows is one panel,
+    factored exactly as A - PD_FLOOR I would be.
+    """
+    n = A.shape[0]
+    L = np.zeros((n, n))
+    buf = np.empty(n * min(n, SOLVE_PANEL))
+    inverses = []
+    for lo in range(0, n, SOLVE_PANEL):
+        hi = min(lo + SOLVE_PANEL, n)
+        w = hi - lo
+        panel = buf[: (n - lo) * w].reshape(n - lo, w)
+        np.matmul(L[lo:, :lo], L[lo:hi, :lo].T, out=panel)
+        np.subtract(A[lo:, lo:hi], panel, out=panel)
+        panel.flat[: w * w : w + 1] -= PD_FLOOR
+        try:
+            L[lo:hi, lo:hi] = np.linalg.cholesky(panel[:w])
+        except np.linalg.LinAlgError:
+            return None
+        inverses.append(np.linalg.solve(L[lo:hi, lo:hi], np.eye(w)))
+        np.matmul(panel[w:], inverses[-1].T, out=L[hi:, lo:hi])
+    return L, inverses
+
+
+def _cholesky_substitution(L: np.ndarray, inverses: list[np.ndarray]):
     """b -> (L L^T)^-1 b for lower-triangular L, by blocked forward then back
     substitution over SOLVE_PANEL-row panels (Golub & Van Loan 3.1): a GEMV
-    or GEMM update per panel, then the panel's diagonal block, inverted once
-    by np.linalg.solve and reused by every application.  A single panel's
-    two inverse blocks are one n x n product, applied in one step."""
+    or GEMM update per panel, then the panel's diagonal block, through the
+    inverse that _shifted_cholesky made for it.  A single panel's two
+    inverse blocks are one n x n product, applied in one step."""
     n = L.shape[0]
     panels = [(lo, min(lo + SOLVE_PANEL, n)) for lo in range(0, n, SOLVE_PANEL)]
-    inverses = [np.linalg.solve(L[lo:hi, lo:hi], np.eye(hi - lo)) for lo, hi in panels]
     if len(panels) == 1:
         inverse = inverses[0].T @ inverses[0]
         return lambda b: inverse @ b

@@ -16,8 +16,9 @@ applies the tie rule (w_r . x_i = 0 counts as active), and returns both
 the outputs u and the pattern S as an n x m bool array, so a training step
 and its diagnostics read the same S and no n x m float64 array is formed.
 activation_pattern(p, X) is forward's S alone.  JacobianView's products
-take the bool S one unit block at a time.  pack_pattern keeps a pattern at
-one bit per entry, and unpack_pattern gives it back as bool.
+(apply_weights and pattern_product) take the bool S one unit block at a
+time.  pack_pattern keeps a pattern at one bit per entry, and
+unpack_pattern gives it back as bool.
 """
 from __future__ import annotations
 
@@ -106,8 +107,15 @@ class JacobianView:
 
     def apply_weights(self, V: np.ndarray) -> np.ndarray:
         """J @ vec(V) for an m x d weight perturbation V, as a length-n vector:
-        row i of S (V scaled by unit) dotted with x_i, the n x d product in BLAS."""
-        return np.einsum("ic,ic->i", self.X, self.S @ (V * self.scale[:, None]))
+        row i of S (V scaled by unit) dotted with x_i.  The n x d product is
+        summed over unit blocks of S in unit order, a BLAS product per
+        block, so no n x m float64 copy is formed."""
+        Vs = V * self.scale[:, None]
+        P = None
+        for lo, F in self._float_blocks():
+            part = F @ Vs[lo : lo + F.shape[1]]
+            P = part if P is None else np.add(P, part, out=P)
+        return np.einsum("ic,ic->i", self.X, P)
 
     def grad_matrix(self, rho: np.ndarray) -> np.ndarray:
         """J.T @ rho reshaped to m x d: S^T diag(rho) X, rows times scale.
@@ -117,20 +125,27 @@ class JacobianView:
         return np.multiply(G, self.scale, out=G).T  # in place: no second d x m array
 
     def pattern_product(self, M: np.ndarray) -> np.ndarray:
-        """M @ S for a k x n matrix M, as a fresh k x m float64 array.  The
-        bool S is converted one unit block at a time into one reused
-        float64 buffer, so no n x m float64 copy is formed.  Each output
-        column is one unit's, so the blocks split no sum."""
+        """M @ S for a k x n matrix M, as a fresh k x m float64 array, one
+        unit block at a time.  Each output column is one unit's, so the
+        blocks split no sum."""
+        out = np.empty((M.shape[0], self.m))
+        for lo, F in self._float_blocks():
+            np.matmul(M, F, out=out[:, lo : lo + F.shape[1]])
+        return out
+
+    def _float_blocks(self):
+        """(lo, F) for each unit block of S from unit lo on: F is the block
+        as float64 (exact: 0/1), in one reused buffer of at most BLOCK_BYTES,
+        so no n x m float64 copy is formed.  F is overwritten by the next
+        block."""
         n, m = self.S.shape
-        out = np.empty((M.shape[0], m))
         width = _block_width(n, m)
         buf = np.empty(n * width)
         for lo in range(0, m, width):
             block = self.S[:, lo : lo + width]
             F = buf[: block.size].reshape(block.shape)
-            np.copyto(F, block)  # exact: 0/1
-            np.matmul(M, F, out=out[:, lo : lo + width])
-        return out
+            np.copyto(F, block)
+            yield lo, F
 
 
 def init(m: int, d: int, nu: float, seed: int) -> NetworkParams:

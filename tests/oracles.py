@@ -92,6 +92,12 @@ def pd_guard_eig(G, damping):
     return float(np.linalg.eigvalsh(G)[0]) + damping <= 1e-12
 
 
+def cholesky_shifted(A):
+    """The lower Cholesky factor of A - 1e-12 I (gram.PD_FLOOR = 1e-12), in
+    one LAPACK call on the whole shifted matrix."""
+    return np.linalg.cholesky(A - 1e-12 * np.eye(A.shape[0]))
+
+
 def eig_solve(A, b):
     """A^-1 b for a symmetric nonsingular A, through its eigendecomposition
     A = V diag(lam) V^T: V (V^T b / lam), for a vector or n x k b."""

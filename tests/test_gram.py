@@ -141,14 +141,15 @@ def test_guarded_solve_matches_eigen_oracle(n, cols):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
-    n=st.integers(1, 130),
+    n=st.integers(1, 300),
     log_floor_multiple=st.floats(math.log10(0.5), 12.0),
     log_cond=st.floats(0.0, 8.0),
     cols=st.sampled_from([None, 3]),
     seed=st.integers(0, 2**31 - 1),
 )
 def test_guarded_solve_agrees_with_eigen_oracle(n, log_floor_multiple, log_cond, cols, seed):
-    # n spans the 64-row panel edges, lambda_min runs from half the floor
+    # n spans the 64-row panel edges and ragged multi-panel sizes up to five
+    # panels, lambda_min runs from half the floor
     # to 1e12 times it, and cond(A) up to 1e8 keeps the guard's roundoff
     # far below the 1% band around the floor that is left out
     floor_multiple = 10.0**log_floor_multiple
@@ -175,17 +176,36 @@ def test_guarded_solve_within_a_percent_of_the_floor_is_as_accurate_as_lu(n):
     assert err <= 2.0 * np.abs(np.linalg.solve(A, rhs) - expected).max()
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 300, 1024])
+def test_shifted_cholesky_matches_one_lapack_factor(n):
+    # the panel-by-panel factor of A - PD_FLOOR I against one LAPACK call
+    # on the whole shifted matrix, across the 64-column panel edges; each
+    # panel's inverse, which the substitution applies, inverts its block
+    A = spd_with_spectrum(np.geomspace(1e-2, 10.0, n), seed=n)
+    before = A.copy()
+    L, inverses = gram._shifted_cholesky(A)
+    expected = oracles.cholesky_shifted(A)
+    assert np.abs(L - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.array_equal(A, before)
+    panels = range(0, n, gram.SOLVE_PANEL)
+    assert len(inverses) == len(panels)
+    for lo, inv in zip(panels, inverses):
+        hi = min(lo + gram.SOLVE_PANEL, n)
+        assert np.abs(inv @ L[lo:hi, lo:hi] - np.eye(hi - lo)).max() <= 1e-13
+
+
 def test_guarded_solve_factors_once_on_a_well_conditioned_matrix(monkeypatch):
-    # one Cholesky factor and no LU of A: np.linalg.solve sees only the
-    # diagonal blocks of the factor, at most SOLVE_PANEL rows each
+    # one factorization and no LU of A: np.linalg.cholesky factors each
+    # diagonal block once and np.linalg.solve inverts each factor block
+    # once, both ceil(n / SOLVE_PANEL) times on at most SOLVE_PANEL rows
     n = 200
     A = spd_with_spectrum(np.geomspace(1e-2, 10.0, n), seed=0)
     rhs = np.random.default_rng(0).standard_normal((n, 3))
-    calls = {"cholesky": 0, "solve_rows": []}
+    calls = {"cholesky_rows": [], "solve_rows": []}
     cholesky, solve = np.linalg.cholesky, np.linalg.solve
 
     def counted_cholesky(a):
-        calls["cholesky"] += 1
+        calls["cholesky_rows"].append(a.shape[0])
         return cholesky(a)
 
     def counted_solve(a, b):
@@ -195,8 +215,9 @@ def test_guarded_solve_factors_once_on_a_well_conditioned_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     assert gram.guarded_solve(A, rhs) is not None
-    assert calls["cholesky"] == 1
-    assert calls["solve_rows"] and max(calls["solve_rows"]) <= gram.SOLVE_PANEL
+    panels = math.ceil(n / gram.SOLVE_PANEL)
+    for rows in calls.values():
+        assert len(rows) == panels and max(rows) <= gram.SOLVE_PANEL
 
 
 @pytest.mark.parametrize("m", [8, 1000, 32768])

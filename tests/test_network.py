@@ -88,27 +88,49 @@ def test_forward_single_input(small_net, inputs):
 
 @pytest.mark.parametrize("width", [None, 16, 1])  # None: one block covers m
 def test_unit_blocks_change_only_summation_order(monkeypatch, width):
-    # forward and pattern_product split the units into BLOCK_BYTES-sized
-    # blocks (16 gives ragged 16 + 16 + 16 + 2); the pattern is the same
-    # bits at every width, and u and M @ S move by summation order only
+    # forward, pattern_product and apply_weights split the units into
+    # BLOCK_BYTES-sized blocks (16 gives ragged 16 + 16 + 16 + 2); the
+    # pattern is the same bits at every width, and u, M @ S and J vec(V)
+    # move by summation order only
     ds = synth_sphere(9, 5, seed=3)
     p = init_network(50, 5, nu=1.0, seed=2)
-    M = np.random.default_rng(4).standard_normal((4, ds.n))
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((4, ds.n))
+    V = rng.standard_normal(p.w.shape)
     Z = ds.X @ p.w.T
     u_whole = (np.maximum(Z, 0.0) @ p.a) / np.sqrt(p.m)
     S_whole = Z >= 0.0
     product_whole = M @ S_whole.astype(np.float64)
+    applied_whole = np.einsum("ic,ic->i", ds.X, S_whole @ (V * (p.a / np.sqrt(p.m))[:, None]))
     if width is not None:
         monkeypatch.setattr(network, "BLOCK_BYTES", 8 * ds.n * width)
     u, S = forward(p, ds.X)
-    product = JacobianView(ds.X, S, p.a).pattern_product(M)
+    view = JacobianView(ds.X, S, p.a)
+    product = view.pattern_product(M)
+    applied = view.apply_weights(V)
     assert S.dtype == np.bool_ and S.tobytes() == S_whole.tobytes()
-    if width is None:
-        assert u.tobytes() == u_whole.tobytes()
-        assert product.tobytes() == product_whole.tobytes()
-    else:
-        assert np.abs(u - u_whole).max() <= 1e-13 * np.abs(u_whole).max()
-        assert np.abs(product - product_whole).max() <= 1e-13 * np.abs(product_whole).max()
+    pairs = [(u, u_whole), (product, product_whole), (applied, applied_whole)]
+    for got, whole in pairs:
+        if width is None:
+            assert got.tobytes() == whole.tobytes()
+        else:
+            assert np.abs(got - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+def test_apply_weights_peak_memory_is_one_unit_block():
+    # J vec(V) at n = 128, m = 32768 holds V scaled by unit (8 MiB) and one
+    # 1 MiB float64 block of S; the whole pattern cast to float64 is 32 MiB
+    X = synth_sphere(128, 32, seed=0).X
+    p = init_network(32768, 32, nu=1.0, seed=1)
+    view = jacobian(p, X)
+    V = np.random.default_rng(2).standard_normal(p.w.shape)
+    tracemalloc.start()
+    try:
+        view.apply_weights(V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_forward_rejects_wrong_dimension(small_net):
