@@ -218,8 +218,9 @@ def _shifted_cholesky(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]] | No
     that block, and the rows below it are the rest of the panel times the
     block's inverse transposed.  The inverses, one per panel and made by
     np.linalg.solve, are returned for _cholesky_substitution.  No shifted
-    copy of A is formed; a matrix of at most SOLVE_PANEL rows is one panel,
-    factored exactly as A - PD_FLOOR I would be.
+    copy of A is formed; a matrix of at most SOLVE_PANEL rows is one panel
+    with no product before or after it, factored exactly as A - PD_FLOOR I
+    would be.
     """
     n = A.shape[0]
     L = np.zeros((n, n))
@@ -229,15 +230,19 @@ def _shifted_cholesky(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]] | No
         hi = min(lo + SOLVE_PANEL, n)
         w = hi - lo
         panel = buf[: (n - lo) * w].reshape(n - lo, w)
-        np.matmul(L[lo:, :lo], L[lo:hi, :lo].T, out=panel)
-        np.subtract(A[lo:, lo:hi], panel, out=panel)
-        panel.flat[: w * w : w + 1] -= PD_FLOOR
+        if lo:
+            np.matmul(L[lo:, :lo], L[lo:hi, :lo].T, out=panel)
+            np.subtract(A[lo:, lo:hi], panel, out=panel)
+        else:
+            np.copyto(panel, A[:, :hi])
+        buf[: w * w : w + 1] -= PD_FLOOR  # the diagonal of panel[:w]
         try:
             L[lo:hi, lo:hi] = np.linalg.cholesky(panel[:w])
         except np.linalg.LinAlgError:
             return None
         inverses.append(np.linalg.solve(L[lo:hi, lo:hi], np.eye(w)))
-        np.matmul(panel[w:], inverses[-1].T, out=L[hi:, lo:hi])
+        if hi < n:
+            np.matmul(panel[w:], inverses[-1].T, out=L[hi:, lo:hi])
     return L, inverses
 
 

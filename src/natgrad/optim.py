@@ -19,8 +19,8 @@ product, which JacobianView.pattern_product forms one unit block at a
 time.  Every direct solve is gram.guarded_solve, the one PD guard, whose
 one panel-by-panel Cholesky factor, with its panels' inverses, is reused
 by the solve: the output Gram's, the unit factor's and the input
-factor's.  With damping = 0 the unit factor's
-pseudoinverse is the fallback only when that guard fails.
+factor's.  With damping = 0 the unit factor's pseudoinverse is the
+fallback only when that guard fails.
 
 train() drives any of these for a fixed number of steps and records a
 ConvergenceTrace: per-step residual norm, loss, weight drift from
