@@ -148,10 +148,10 @@ def test_guarded_solve_matches_eigen_oracle(n, cols):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_guarded_solve_agrees_with_eigen_oracle(n, log_floor_multiple, log_cond, cols, seed):
-    # n spans the 64-row panel edges and ragged multi-panel sizes up to five
-    # panels, lambda_min runs from half the floor
-    # to 1e12 times it, and cond(A) up to 1e8 keeps the guard's roundoff
-    # far below the 1% band around the floor that is left out
+    # n spans the 64-row panel edges and ragged sizes up to five panels,
+    # lambda_min runs from half the floor to 1e12 times it, and cond(A) up
+    # to 1e8 keeps the guard's roundoff far below the 1% band around the
+    # floor that is left out
     floor_multiple = 10.0**log_floor_multiple
     assume(abs(floor_multiple - 1.0) > 0.01)
     lam_min = floor_multiple * gram.PD_FLOOR
