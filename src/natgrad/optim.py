@@ -28,12 +28,15 @@ initialization, the predicted geometric bound on the squared residual,
 and optional diagnostics.  It evaluates the network once per iterate:
 the outputs and bool activation pattern from one network.forward call
 feed that iterate's record and diagnostics and the next step, so no n x m
-float64 array is formed.  The trace also keeps the run's last activation
+float64 array is formed.  It forms X X^T once per run and the output Gram
+at most once per iterate, shared by the lambda_min diagnostic and the
+next NGD step.  The trace also keeps the run's last activation
 pattern, bit-packed, so that theory.check_conditions reads it instead of
 evaluating the network at the final iterate again.  StepRecord's fields
 are the trace columns, and ConvergenceTrace.summary() is the one run
-summary that every report reuses.  The steps and OptimizerConfig share one
-range check of the step arguments.
+summary that every report reuses.  train() and the four public steps run
+the same private step; each public step builds an OptimizerConfig, so the
+config's check is the one range check of the step arguments.
 """
 from __future__ import annotations
 
@@ -135,30 +138,20 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        _check_step_args(self.eta, self.damping, self.cg_iters, self.cg_tol)
+        if not (np.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if self.damping is not None and not (np.isfinite(self.damping) and self.damping >= 0):
+            raise ValueError(f"damping must be None or >= 0, got {self.damping}")
+        _check_count("cg_iters", self.cg_iters)
+        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0):
+            raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
         _check_count("max_steps", self.max_steps)
         if self.method in ("gd", "kfac") and self.loss.kind != "squared":
             raise ValueError(f"method {self.method!r} supports only the squared loss")
 
 
-def _check_step_args(
-    eta: float, damping: float | None = None, cg_iters: int = 100, cg_tol: float = 1e-10
-) -> None:
-    """Raise ValueError unless eta is finite and >= 0, damping None or
-    finite and >= 0, cg_iters an integer >= 1 and cg_tol finite and > 0:
-    the check of OptimizerConfig and of every public step.  The defaults
-    pass, for the steps that take fewer arguments."""
-    if not (np.isfinite(eta) and eta >= 0):
-        raise ValueError(f"eta must be finite and >= 0, got {eta}")
-    if damping is not None and not (np.isfinite(damping) and damping >= 0):
-        raise ValueError(f"damping must be None or >= 0, got {damping}")
-    _check_count("cg_iters", cg_iters)
-    if not (np.isfinite(cg_tol) and cg_tol > 0):
-        raise ValueError(f"cg_tol must be finite and positive, got {cg_tol}")
-
-
 def _check_count(name: str, value: int) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -238,20 +231,6 @@ def cg_solve(
 
 # ---------------------------------------------------------------------------
 # single steps (pure: each returns a new NetworkParams)
-#
-# Each step takes fwd = network.forward(p, ds.X), the outputs and the
-# activation pattern at p, when the caller already has them (train()
-# carries them from one iterate to the next); fwd=None computes them.
-
-Forward = tuple[np.ndarray, np.ndarray]
-
-
-def _evaluated(
-    p: NetworkParams, ds: Dataset, fwd: Forward | None
-) -> tuple[np.ndarray, network.JacobianView]:
-    """The outputs u at p and the Jacobian on forward's pattern S."""
-    u, S = network.forward(p, ds.X) if fwd is None else fwd
-    return u, network.JacobianView(X=ds.X, S=S, a=p.a)
 
 
 def _updated(p: NetworkParams, eta: float, G: np.ndarray) -> NetworkParams:
@@ -261,29 +240,54 @@ def _updated(p: NetworkParams, eta: float, G: np.ndarray) -> NetworkParams:
     return p.with_weights(p.w - G)
 
 
-def gd_step(
-    p: NetworkParams, ds: Dataset, eta: float, fwd: Forward | None = None
-) -> NetworkParams:
-    """Plain gradient descent on the mean squared loss: w -= (eta/n) J^T rho."""
-    _check_step_args(eta)
-    u, jv = _evaluated(p, ds, fwd)
-    return _updated(p, eta / ds.n, jv.grad_matrix(u - ds.y))
-
-
-def _ngd_step(
+def _step(
     p: NetworkParams,
     ds: Dataset,
-    eta: float,
-    loss: LossSpec,
-    solve: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
-    fwd: Forward | None,
-) -> tuple[NetworkParams, bool]:
-    """w <- w - eta J^T z with z from solve(G, g(u)): the n x n Gram
-    G = J J^T against the output-space loss gradient g(u).  solve returns
-    (z, converged)."""
-    u, jv = _evaluated(p, ds, fwd)
-    z, converged = solve(gram.finite_gram(jv), loss.grad(u, ds.y))
-    return _updated(p, eta, jv.grad_matrix(z)), converged
+    cfg: OptimizerConfig,
+    u: np.ndarray,
+    S: np.ndarray,
+    G: np.ndarray | None = None,
+) -> tuple[NetworkParams, bool | None]:
+    """One cfg.method step from p, whose outputs u and activation pattern S
+    are given (network.forward(p, ds.X)).  G is the output Gram J J^T at p
+    when the caller has formed it; an NGD step forms it otherwise.  Returns
+    (params, stagnated): stagnated is whether CG failed to converge for
+    ngd_cg, and None for the other methods.  Reads S and G, never writes
+    them."""
+    jv = network.JacobianView(X=ds.X, S=S, a=p.a)
+    if cfg.method == "gd":
+        return _updated(p, cfg.eta / ds.n, jv.grad_matrix(u - ds.y)), None
+    if cfg.method == "kfac":
+        A = gram.pre_activation_gram(S)  # S~ S~^T with S~ = S diag(jv.scale), from exact counts
+        scaled = (u - ds.y)[:, None] * ds.X  # diag(rho) X, n x d
+        damped, lam = _damped(A, cfg.damping)
+        if lam > 0.0:
+            middle = _solve_gram(damped, scaled, 0.0, "unit factor")  # already damped
+        elif (middle := gram.guarded_solve(A, scaled)) is None:  # rank-deficient pattern
+            middle = np.linalg.pinv(A, hermitian=True) @ scaled  # least squares
+        XtX = ds.X.T @ ds.X
+        if (inner := gram.guarded_solve(XtX, middle.T)) is None:  # (X^T X)^-1 middle^T
+            raise RankDeficiencyError(
+                "input factor X^T X is rank deficient; K-FAC needs rank-d inputs "
+                f"(lambda_min = {gram.min_eig(XtX):.3e} <= {PD_FLOOR:.0e})"
+            )
+        update = jv.pattern_product(inner)  # (X^T X)^-1 middle^T S, d x m
+        update *= jv.scale  # in place: S~^T middle (X^T X)^-1, transposed
+        return _updated(p, cfg.eta, update.T), None
+    G = gram.finite_gram(jv) if G is None else G
+    g = cfg.loss.grad(u, ds.y)
+    if cfg.method == "ngd_exact":
+        z, stagnated = _solve_gram(G, g, cfg.damping), None
+    else:  # ngd_cg
+        z, _, converged = cg_solve(_damped(G, cfg.damping)[0], g, cfg.cg_iters, cfg.cg_tol)
+        stagnated = not converged
+    return _updated(p, cfg.eta, jv.grad_matrix(z)), stagnated
+
+
+def gd_step(p: NetworkParams, ds: Dataset, eta: float) -> NetworkParams:
+    """Plain gradient descent on the mean squared loss: w -= (eta/n) J^T rho."""
+    cfg = OptimizerConfig(method="gd", eta=eta)
+    return _step(p, ds, cfg, *network.forward(p, ds.X))[0]
 
 
 def ngd_exact_step(
@@ -292,18 +296,14 @@ def ngd_exact_step(
     eta: float,
     damping: float | None = None,
     loss: LossSpec = squared_loss(),
-    fwd: Forward | None = None,
 ) -> NetworkParams:
     """Natural-gradient step through a direct solve of the n x n Gram.
 
     Raises SingularMatrixError when the damped Gram is not safely
     positive definite.
     """
-    _check_step_args(eta, damping)
-    new_p, _ = _ngd_step(
-        p, ds, eta, loss, lambda G, g: (_solve_gram(G, g, damping), True), fwd
-    )
-    return new_p
+    cfg = OptimizerConfig(method="ngd_exact", eta=eta, damping=damping, loss=loss)
+    return _step(p, ds, cfg, *network.forward(p, ds.X))[0]
 
 
 def ngd_cg_step(
@@ -314,7 +314,6 @@ def ngd_cg_step(
     cg_iters: int = 100,
     cg_tol: float = 1e-10,
     loss: LossSpec = squared_loss(),
-    fwd: Forward | None = None,
 ) -> tuple[NetworkParams, bool]:
     """Natural-gradient step with the Gram system solved by CG.
 
@@ -322,21 +321,15 @@ def ngd_cg_step(
     ill-conditioned system shows up as CG stagnation, which train()
     records rather than raising.
     """
-    _check_step_args(eta, damping, cg_iters, cg_tol)
-
-    def solve(G, g):
-        z, _, converged = cg_solve(_damped(G, damping)[0], g, cg_iters, cg_tol)
-        return z, converged
-
-    return _ngd_step(p, ds, eta, loss, solve, fwd)
+    cfg = OptimizerConfig(
+        method="ngd_cg", eta=eta, damping=damping, cg_iters=cg_iters, cg_tol=cg_tol, loss=loss
+    )
+    new_p, stagnated = _step(p, ds, cfg, *network.forward(p, ds.X))
+    return new_p, not stagnated
 
 
 def kfac_step(
-    p: NetworkParams,
-    ds: Dataset,
-    eta: float,
-    damping: float | None = None,
-    fwd: Forward | None = None,
+    p: NetworkParams, ds: Dataset, eta: float, damping: float | None = None
 ) -> NetworkParams:
     """Kronecker-factored step.
 
@@ -347,24 +340,8 @@ def kfac_step(
     factor S~ S~^T is pseudoinverted only when its guard fails, so a
     rank-deficient activation pattern is handled in the least-squares sense.
     """
-    _check_step_args(eta, damping)
-    u, jv = _evaluated(p, ds, fwd)  # S~ = S diag(jv.scale)
-    A = gram.pre_activation_gram(jv.S)  # S~ S~^T, from exact counts
-    scaled = (u - ds.y)[:, None] * ds.X  # diag(rho) X, n x d
-    damped, lam = _damped(A, damping)
-    if lam > 0.0:
-        middle = _solve_gram(damped, scaled, 0.0, "unit factor")  # already damped
-    elif (middle := gram.guarded_solve(A, scaled)) is None:  # rank-deficient pattern
-        middle = np.linalg.pinv(A, hermitian=True) @ scaled  # least squares
-    XtX = ds.X.T @ ds.X
-    if (inner := gram.guarded_solve(XtX, middle.T)) is None:  # (X^T X)^-1 middle^T
-        raise RankDeficiencyError(
-            "input factor X^T X is rank deficient; K-FAC needs rank-d inputs "
-            f"(lambda_min = {gram.min_eig(XtX):.3e} <= {PD_FLOOR:.0e})"
-        )
-    update = jv.pattern_product(inner)  # (X^T X)^-1 middle^T S, d x m
-    update *= jv.scale  # in place: S~^T middle (X^T X)^-1, transposed
-    return _updated(p, eta, update.T)
+    cfg = OptimizerConfig(method="kfac", eta=eta, damping=damping)
+    return _step(p, ds, cfg, *network.forward(p, ds.X))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +446,9 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
     u, S = network.forward(p, ds.X)  # outputs and pattern at the current iterate
     r0 = _residual_norm(u, ds, 0)
     factor = predicted_factor(cfg, ds)
-    if cfg.track_lambda_min or cfg.track_jacobian_drift:
-        XXt = ds.X @ ds.X.T
+    ngd = cfg.method in ("ngd_exact", "ngd_cg")
+    if ngd or cfg.track_lambda_min or cfg.track_jacobian_drift:
+        XXt = ds.X @ ds.X.T  # a constant of the run
     if cfg.track_jacobian_drift:
         # pattern of the stored initialization, not of the incoming weights;
         # a run from w0 already has it in S, which no step writes
@@ -481,25 +459,16 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
 
     records: list[StepRecord] = []
     current = p
+    G = None  # the output Gram at the current iterate, once formed
     for k in range(1, cfg.max_steps + 1):
-        stagnated: bool | None = None
-        fwd = (u, S)
+        if ngd and G is None:
+            G = gram.pattern_gram(XXt, S)
         try:
-            if cfg.method == "gd":
-                current = gd_step(current, ds, cfg.eta, fwd)
-            elif cfg.method == "kfac":
-                current = kfac_step(current, ds, cfg.eta, cfg.damping, fwd)
-            elif cfg.method == "ngd_exact":
-                current = ngd_exact_step(current, ds, cfg.eta, cfg.damping, cfg.loss, fwd)
-            else:  # ngd_cg
-                current, converged = ngd_cg_step(
-                    current, ds, cfg.eta, cfg.damping, cfg.cg_iters, cfg.cg_tol, cfg.loss, fwd
-                )
-                stagnated = not converged
+            current, stagnated = _step(current, ds, cfg, u, S, G)
         except (SingularMatrixError, RankDeficiencyError) as exc:
             raise type(exc)(f"training failed at step {k}: {exc}", step=k) from exc
 
-        fwd = S = None  # an n x m array; drop it before forward forms the next
+        G = S = None  # n x n and n x m arrays; drop them before forward forms the next
         u, S = network.forward(current, ds.X)
         residual_norm = _residual_norm(u, ds, k)
         if not np.all(np.isfinite(current.w)):
@@ -508,7 +477,10 @@ def train(p: NetworkParams, ds: Dataset, cfg: OptimizerConfig) -> ConvergenceTra
         lam_min = None
         jac_drift = None
         if cfg.track_lambda_min:
-            lam_min = gram.min_eig(gram.pattern_gram(XXt, S))
+            G = gram.pattern_gram(XXt, S)
+            lam_min = gram.min_eig(G)
+            if not ngd:
+                G = None  # only an NGD step reads it
         if cfg.track_jacobian_drift:
             jac_drift = gram.jacobian_drift(XXt, S, S0)
 

@@ -274,23 +274,35 @@ def test_cli_makes_datasets_in_build_dataset_only():
 
 
 def test_step_arguments_checked_in_one_place():
-    """OptimizerConfig and the four public steps check eta, damping,
-    cg_iters and cg_tol by one call to optim._check_step_args, and no
-    ValueError message is written twice in optim."""
+    """OptimizerConfig.__post_init__ is the one range check of the step
+    arguments: it alone raises their ValueErrors and calls _check_count,
+    the four public steps build an OptimizerConfig, and no ValueError
+    message is written twice in optim."""
     tree = parse("optim")
-    messages = [
-        ast.unparse(node.exc.args[0])
-        for node in ast.walk(tree)
+    raises = [
+        (fn.name, ast.unparse(node.exc.args[0]))
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
         if isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
         and getattr(node.exc.func, "id", None) == "ValueError"
     ]
+    messages = [message for _, message in raises]
     assert messages and len(messages) == len(set(messages))
-    callers = {
-        fn.name
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_step_args"
+    argument_checks = {
+        fn for fn, message in raises if any(arg in message for arg in ("eta", "damping", "cg_tol"))
     }
-    assert callers == {"__post_init__", "gd_step", "ngd_exact_step", "ngd_cg_step", "kfac_step"}
+    assert argument_checks == {"__post_init__"}
+
+    def callers(name):
+        return {
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        }
+
+    assert callers("_check_count") == {"__post_init__"}
+    assert callers("OptimizerConfig") == {"gd_step", "ngd_exact_step", "ngd_cg_step", "kfac_step"}

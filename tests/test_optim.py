@@ -123,9 +123,11 @@ def test_optimizer_config_validation():
         (lambda p, ds, lm: OptimizerConfig(cg_tol=math.inf), "cg_tol"),
         (lambda p, ds, lm: OptimizerConfig(max_steps=2.5), "max_steps"),
         (lambda p, ds, lm: OptimizerConfig(cg_iters=2.5), "cg_iters"),
+        (lambda p, ds, lm: OptimizerConfig(max_steps=True), "max_steps"),
+        (lambda p, ds, lm: OptimizerConfig(cg_iters=True), "cg_iters"),
     ],
     ids=["kappa-nan", "gd-t-nan", "ngd-t-nan", "cg_tol-nan", "cg_tol-inf",
-         "max_steps-fraction", "cg_iters-fraction"],
+         "max_steps-fraction", "cg_iters-fraction", "max_steps-bool", "cg_iters-bool"],
 )
 def test_range_checks_refuse_non_finite_and_fractional_values(call, name):
     # each of these values used to pass its check and come back as NaN, as
@@ -375,24 +377,6 @@ def test_forward_is_linear_within_pattern():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_steps_reuse_given_outputs():
-    # passing fwd = forward(p, X) must give bit-for-bit the step that
-    # evaluates the network itself
-    ds = synth_sphere(8, 4, seed=2)
-    p = init_network(64, 4, nu=1.0, seed=3)
-    fwd = forward(p, ds.X)
-    steps = {
-        "gd": lambda **kw: gd_step(p, ds, 0.5, **kw),
-        "ngd_exact": lambda **kw: ngd_exact_step(p, ds, 0.5, 0.0, **kw),
-        "ngd_cg": lambda **kw: ngd_cg_step(p, ds, 0.5, 0.0, **kw)[0],
-        "kfac": lambda **kw: kfac_step(p, ds, 0.5, 0.0, **kw),
-    }
-    pattern = fwd[1].copy()
-    for name, step in steps.items():
-        assert step(fwd=fwd).w.tobytes() == step().w.tobytes(), name
-    assert np.array_equal(fwd[1], pattern)  # the steps read the pattern, never write it
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -449,6 +433,71 @@ def test_train_forms_one_pre_activation_per_iterate(monkeypatch, method, diagnos
         "activation_pattern": 0,
         "jacobian": 0,
     }
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+@pytest.mark.parametrize("method", ["ngd_exact", "ngd_cg"])
+def test_train_forms_each_gram_once_and_no_input_gram_per_step(monkeypatch, method, diagnostics):
+    # the Gram of an iterate is formed once, by the lambda_min diagnostic or
+    # else for the step, from the run's one X X^T: pattern_gram runs for
+    # each iterate that needs a Gram and finite_gram, which forms X X^T
+    # again, never
+    ds = synth_sphere(8, 4, seed=4)
+    p = init_network(64, 4, nu=1.0, seed=5)
+    calls = {"pattern_gram": 0, "finite_gram": 0}
+
+    def counted(name):
+        original = getattr(ng.gram, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ng.gram, name, counted(name))
+    cfg = OptimizerConfig(
+        method=method, eta=0.5, damping=0.0, max_steps=4, track_lambda_min=diagnostics
+    )
+    steps = len(train(p, ds, cfg).records)
+    assert steps == 4
+    assert calls == {"pattern_gram": steps + diagnostics, "finite_gram": 0}
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+@pytest.mark.parametrize("damping", [0.0, None])
+@pytest.mark.parametrize("method", ng.optim.METHODS)
+def test_train_steps_as_the_public_steps_do(method, damping, diagnostics):
+    # the public steps, each evaluating the network itself, are the
+    # reference path: train() must give the same residual norms,
+    # diagnostics and final weights bit for bit.  The drift reference is the
+    # first forward's pattern in train(), so a step that wrote the pattern
+    # it was given would show in jacobian_drift
+    ds = synth_sphere(12, 4, seed=6)
+    p = init_network(96, 4, nu=1.0, seed=7)
+    cfg = OptimizerConfig(
+        method=method, eta=0.5, damping=damping, max_steps=4,
+        track_lambda_min=diagnostics, track_jacobian_drift=diagnostics,
+    )
+    step = {
+        "gd": lambda q: gd_step(q, ds, 0.5),
+        "ngd_exact": lambda q: ngd_exact_step(q, ds, 0.5, damping),
+        "ngd_cg": lambda q: ngd_cg_step(q, ds, 0.5, damping)[0],
+        "kfac": lambda q: kfac_step(q, ds, 0.5, damping),
+    }[method]
+    trace = train(p, ds, cfg)
+    assert len(trace.records) == 4
+    current, S0, XXt = p, forward(p, ds.X)[1], ds.X @ ds.X.T
+    for rec in trace.records:
+        current = step(current)
+        u, S = forward(current, ds.X)
+        rho = u - ds.y
+        assert rec.residual_norm == math.sqrt(float(rho @ rho)), rec.k
+        if diagnostics:
+            assert rec.lambda_min_G == ng.min_eig(ng.finite_gram(jacobian(current, ds.X))), rec.k
+            assert rec.jacobian_drift == ng.gram.jacobian_drift(XXt, S, S0), rec.k
+    assert trace.final_params.w.tobytes() == current.w.tobytes()
 
 
 @pytest.mark.parametrize("method", ["gd", "ngd_exact", "kfac"])
