@@ -2,8 +2,7 @@
 
 Subcommands:
 
-    gen-data    write a config's dataset as CSV
-    forster     transform a dataset so X^T X = (n/d) I with unit-norm rows
+    gen-data    write a config's dataset as CSV (and forster.json, as train does)
     gram        print the spectrum of the limiting Gram of a dataset
     train       run preprocess -> init -> train -> condition check, write artifacts
     compare     train several configurations on shared data, tabulate rates
@@ -15,9 +14,9 @@ Configuration is a JSON object with blocks data, preprocess, model,
 optimizer, output, sweeps (see SCHEMA and parse_config).  Every subcommand
 that makes a dataset takes it from --config (compare takes several) through
 build_dataset, and only train runs a config's sweeps: compare, verify and
-linearized refuse a config that has one.  Scalar flags override config
-fields (--seed beats model.seed, --out beats output.dir), and every
-override is recorded in the manifest.  Identical configuration produces
+linearized refuse a config that has one.  --out beats output.dir, and
+train records it in the manifest; seeds come only from model.seed and
+sweeps.seed.  Identical configuration produces
 byte-identical artifacts; the only timestamp lives in manifest.json.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
@@ -305,12 +304,10 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_via(lambda tmp: Path(tmp).write_text(text, encoding="utf-8", newline=""), path)
 
 
-def build_dataset(
-    cfg: ExperimentConfig, raw: bool = False
-) -> tuple[Dataset, forster_mod.ForsterResult | None]:
+def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, forster_mod.ForsterResult | None]:
     """Materialize the config's dataset, with its preprocessing applied and
-    validated (unit-norm, non-parallel rows; ValueError otherwise).  raw
-    gives the rows as read, for forster, which normalizes its own input."""
+    validated (unit-norm, non-parallel rows; ValueError otherwise), and the
+    Forster result when preprocess.forster transformed it."""
     if "path" in cfg.data:
         ds = data_mod.load_csv(
             cfg.data["path"],
@@ -320,8 +317,6 @@ def build_dataset(
     else:
         s = cfg.data["synth"]
         ds = data_mod.synth_sphere(s["n"], s["d"], s["seed"], s["target_model"])
-    if raw:
-        return ds, None
     result = None
     if cfg.preprocess["forster"]:
         _require_no_parallel_rows(ds.X)
@@ -351,13 +346,20 @@ def _init_params(model: dict, ds: Dataset) -> network.NetworkParams:
     return network.init(model["m"], ds.d, model["nu"], model["seed"])
 
 
-def _forster_sidecar(result: forster_mod.ForsterResult) -> dict:
-    return {
-        "iterations": result.iterations,
-        "final_error": result.final_error,
-        "rescale_skipped": result.rescale_skipped,
-        "A": result.A.tolist(),
+def _write_dataset(out_dir: Path, ds: Dataset, fr: forster_mod.ForsterResult | None) -> list[str]:
+    """Write data.csv and, when the Forster transform made ds, forster.json;
+    return the names written."""
+    _atomic_via(lambda p: data_mod.save_csv(ds, p), out_dir / "data.csv")
+    if fr is None:
+        return ["data.csv"]
+    sidecar = {
+        "iterations": fr.iterations,
+        "final_error": fr.final_error,
+        "rescale_skipped": fr.rescale_skipped,
+        "A": fr.A.tolist(),
     }
+    _atomic_write_text(out_dir / "forster.json", _dump_json(sidecar))
+    return ["data.csv", "forster.json"]
 
 
 def _sweep_cells(sweeps: dict) -> list[dict]:
@@ -399,12 +401,7 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
     # failed cell leaves no file behind and no earlier run half-replaced
     results = [(cell, *_run_cell(cfg, cell, ds)) for cell in _sweep_cells(cfg.sweeps)]
     out_dir = Path(cfg.output["dir"])
-    artifacts: list[str] = []
-    _atomic_via(lambda p: data_mod.save_csv(ds, p), out_dir / "data.csv")
-    artifacts.append("data.csv")
-    if fr is not None:
-        _atomic_write_text(out_dir / "forster.json", _dump_json(_forster_sidecar(fr)))
-        artifacts.append("forster.json")
+    artifacts = _write_dataset(out_dir, ds, fr)
 
     sweeping = bool(cfg.sweeps)
     formats = cfg.output["formats"]
@@ -472,18 +469,12 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
 # subcommand handlers
 
 
-def _apply_overrides(
-    cfg: ExperimentConfig, seed: int | None = None, out: str | None = None
-) -> tuple[ExperimentConfig, dict]:
-    overrides: dict = {}
-    if seed is not None:
-        seed = _coerce(seed, "int", "--seed", 0)
-        cfg = dataclasses.replace(cfg, model={**cfg.model, "seed": seed})
-        overrides["model.seed"] = seed
-    if out:
-        cfg = dataclasses.replace(cfg, output={**cfg.output, "dir": out})
-        overrides["output.dir"] = out
-    return cfg, overrides
+def _apply_overrides(cfg: ExperimentConfig, out: str | None) -> tuple[ExperimentConfig, dict]:
+    """cfg with --out, when given, as its output.dir, and the overrides
+    applied, as the manifest records them."""
+    if not out:
+        return cfg, {}
+    return dataclasses.replace(cfg, output={**cfg.output, "dir": out}), {"output.dir": out}
 
 
 def _load_one_cell(path, command: str) -> ExperimentConfig:
@@ -501,38 +492,17 @@ def cmd_gen_data(args) -> None:
     if not args.config:
         raise ConfigError("gen-data: --config is required")
     cfg = load_config(args.config)
-    ds, _ = build_dataset(cfg)
-    path = Path(args.out) / "data.csv"
-    _atomic_via(lambda p: data_mod.save_csv(ds, p), path)
+    ds, fr = build_dataset(cfg)
+    out_dir = Path(args.out)
+    _write_dataset(out_dir, ds, fr)
     doc = {
-        "path": str(path),
+        "path": str(out_dir / "data.csv"),
         "n": ds.n,
         "d": ds.d,
         "data": cfg.data,
         "validation": dataclasses.asdict(data_mod.validate(ds)),
     }
     print(_dump_json(doc), end="")
-
-
-def cmd_forster(args) -> None:
-    if not args.out:
-        raise ConfigError("forster: --out is required")
-    ds, _ = build_dataset(load_config(args.config), raw=True)
-    result = forster_mod.forster_transform(ds.X, tol=args.tol, max_iter=args.max_iter)
-    transformed = Dataset(result.Z, ds.y)
-    out_dir = Path(args.out)
-    _atomic_via(lambda p: data_mod.save_csv(transformed, p), out_dir / "forster_data.csv")
-    _atomic_write_text(out_dir / "forster.json", _dump_json(_forster_sidecar(result)))
-    recon = forster_mod.normalize_rows(ds.X @ result.A)
-    summary = {
-        "iterations": result.iterations,
-        "final_error": result.final_error,
-        "rescale_skipped": result.rescale_skipped,
-        "max_reconstruction_error": float(np.max(np.abs(recon - result.Z))),
-        "out": str(out_dir),
-    }
-    if not args.quiet:
-        print(_dump_json(summary), end="")
 
 
 def cmd_gram(args) -> None:
@@ -558,16 +528,14 @@ def cmd_gram(args) -> None:
 
 
 def cmd_train(args) -> None:
-    cfg, overrides = _apply_overrides(load_config(args.config), args.seed, args.out)
+    cfg, overrides = _apply_overrides(load_config(args.config), args.out)
     run_experiment(cfg, overrides, quiet=args.quiet)
 
 
 def cmd_compare(args) -> None:
     if len(args.config) < 2:
         raise ConfigError("compare: need at least two --config files")
-    cfgs = []
-    for path in args.config:
-        cfgs.append(_apply_overrides(_load_one_cell(path, "compare"), args.seed)[0])
+    cfgs = [_load_one_cell(path, "compare") for path in args.config]
     ref = cfgs[0]
     for i, cfg in enumerate(cfgs[1:], start=2):
         if (
@@ -634,7 +602,7 @@ def cmd_compare(args) -> None:
 
 
 def cmd_verify(args) -> None:
-    cfg, _ = _apply_overrides(_load_one_cell(args.config, "verify"), args.seed, args.out)
+    cfg, _ = _apply_overrides(_load_one_cell(args.config, "verify"), args.out)
     ds, fr = build_dataset(cfg)
     trace, report = _run_cell(cfg, {}, ds)
     Ginf = gram_mod.limiting_gram(ds)
@@ -674,7 +642,7 @@ def cmd_verify(args) -> None:
 def cmd_linearized(args) -> None:
     if args.points < 2:
         raise ConfigError("linearized: --points must be >= 2")
-    cfg, _ = _apply_overrides(_load_one_cell(args.config, "linearized"), args.seed, args.out)
+    cfg, _ = _apply_overrides(_load_one_cell(args.config, "linearized"), args.out)
     if cfg.output["dir"] is None:
         raise ConfigError("config.output.dir: required (or pass --out)")
     ds, _ = build_dataset(cfg)
@@ -807,10 +775,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.required = True
 
     # each subcommand takes only the scalar flags its handler reads
-    config, out, seed, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config, out, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     config.add_argument("--config", metavar="PATH", required=True, help="experiment config JSON")
     out.add_argument("--out", metavar="DIR", help="output directory")
-    seed.add_argument("--seed", type=int, metavar="N", help="seed override")
     quiet.add_argument("--quiet", action="store_true", help="suppress informational output")
 
     # --out is checked before --config, so a bare gen-data names --out first
@@ -819,26 +786,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser(
-        "forster", parents=[config, out, quiet],
-        help="transform inputs so X^T X = (n/d) I with unit rows",
-    )
-    p.add_argument("--tol", type=float, default=forster_mod.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=forster_mod.DEFAULT_MAX_ITER)
-    p.set_defaults(func=cmd_forster)
-
-    p = sub.add_parser(
         "gram", parents=[config], help="print the limiting Gram spectrum of a dataset"
     )
     p.add_argument("--export", metavar="PATH", help="also write the Gram matrix as CSV")
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser(
-        "train", parents=[config, out, seed, quiet], help="run a training experiment"
+        "train", parents=[config, out, quiet], help="run a training experiment"
     )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
-        "compare", parents=[out, seed, quiet],
+        "compare", parents=[out, quiet],
         help="train several configs on shared data and tabulate rates",
     )
     p.add_argument(
@@ -848,13 +807,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
-        "verify", parents=[config, out, seed],
+        "verify", parents=[config, out],
         help="print a consolidated condition / bound / rate report",
     )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "linearized", parents=[config, out, seed, quiet],
+        "linearized", parents=[config, out, quiet],
         help="emit closed-form frozen-Jacobian trajectories as CSV",
     )
     p.add_argument("--points", type=int, default=50, help="number of time points")

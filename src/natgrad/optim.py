@@ -138,16 +138,21 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if not (np.isfinite(self.eta) and self.eta >= 0):
+        if not (_finite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if self.damping is not None and not (np.isfinite(self.damping) and self.damping >= 0):
+        if self.damping is not None and not (_finite(self.damping) and self.damping >= 0):
             raise ValueError(f"damping must be None or >= 0, got {self.damping}")
         _check_count("cg_iters", self.cg_iters)
-        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0):
+        if not (_finite(self.cg_tol) and self.cg_tol > 0):
             raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
         _check_count("max_steps", self.max_steps)
         if self.method in ("gd", "kfac") and self.loss.kind != "squared":
             raise ValueError(f"method {self.method!r} supports only the squared loss")
+
+
+def _finite(value) -> bool:
+    """value is a finite number; a bool, which numpy takes as 0 or 1, is none."""
+    return not isinstance(value, bool) and bool(np.isfinite(value))
 
 
 def _check_count(name: str, value: int) -> None:

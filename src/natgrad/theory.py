@@ -79,7 +79,7 @@ def check_conditions(
     holds stands in for the network evaluation at p, and the report has the
     same bits either way.
     """
-    if not kappa >= 1.0:  # also refuses NaN
+    if isinstance(kappa, bool) or not kappa >= 1.0:  # also refuses NaN
         raise ValueError(f"kappa = L/mu must be >= 1, got {kappa}")
     packed = None if trace is None else trace.final_pattern
     if trace is not None and trace.final_params is not p:

@@ -60,12 +60,11 @@ def test_version_flag(capsys):
 # settable values
 CLI_FLAGS = {
     "gen-data": ("--config", "--out"),
-    "forster": ("--config", "--max-iter", "--out", "--quiet", "--tol"),
     "gram": ("--config", "--export"),
-    "train": ("--config", "--out", "--quiet", "--seed"),
-    "compare": ("--config", "--out", "--quiet", "--seed"),
-    "verify": ("--config", "--out", "--seed"),
-    "linearized": ("--config", "--out", "--points", "--quiet", "--seed"),
+    "train": ("--config", "--out", "--quiet"),
+    "compare": ("--config", "--out", "--quiet"),
+    "verify": ("--config", "--out"),
+    "linearized": ("--config", "--out", "--points", "--quiet"),
     "report": ("--out", "--quiet"),
 }
 
@@ -81,12 +80,13 @@ def test_cli_flag_table():
         for name, sub in commands.choices.items()
     }
     assert table == CLI_FLAGS
-    assert sum(len(flags) for flags in table.values()) == 27
+    assert sum(len(flags) for flags in table.values()) == 18
 
 
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
+    assert main(["forster", "--config", "c.json", "--out", "o"]) == 1  # gen-data's job
     assert main(["train"]) == 1  # --config required
     capsys.readouterr()
 
@@ -94,12 +94,11 @@ def test_usage_errors_exit_one(capsys):
 @pytest.mark.parametrize(
     "command, flag",
     [
-        ("gram", "--out"), ("gram", "--seed"), ("gram", "--quiet"),
-        ("forster", "--seed"), ("report", "--seed"),
+        ("gram", "--out"), ("gram", "--seed"), ("gram", "--quiet"), ("report", "--seed"),
         ("gen-data", "--quiet"), ("verify", "--quiet"),
         *(("gen-data", flag) for flag in ("--seed", "--n", "--d", "--target-model")),
-        *((command, flag) for command in ("gram", "forster")
-          for flag in ("--data", "--label-column", "--normalize")),
+        *(("gram", flag) for flag in ("--data", "--label-column", "--normalize")),
+        *((command, "--seed") for command in ("train", "compare", "verify", "linearized")),
     ],
 )
 def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, command, flag):
@@ -109,10 +108,12 @@ def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, command, flag):
     cfgp = write_config(tmp_path, base_config(run_dir))
     argv = {
         "gram": ["--config", cfgp],
-        "forster": ["--config", cfgp, "--out", str(tmp_path / "f")],
         "report": ["--out", str(run_dir)],
         "gen-data": ["--config", cfgp, "--out", str(tmp_path / "g")],
         "verify": ["--config", cfgp],
+        "train": ["--config", cfgp, "--quiet"],
+        "compare": ["--config", cfgp, "--config", cfgp, "--quiet"],
+        "linearized": ["--config", cfgp, "--points", "3", "--quiet"],
     }[command]
     if command == "report":
         assert main(["train", "--config", cfgp, "--quiet"]) == 0
@@ -152,16 +153,19 @@ def test_gen_data_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("forster", [False, True])
 def test_gen_data_writes_the_data_train_writes(tmp_path, capsys, forster):
-    # the one dataset path: gen-data writes build_dataset's rows, as train
-    # does, and reads only the data and preprocess blocks of any config
+    # the one dataset path: gen-data writes build_dataset's rows and Forster
+    # sidecar, as train does, and reads only the data and preprocess blocks
+    # of any config
     cfg = {**base_config(tmp_path / "run"), "preprocess": {"forster": forster},
            "sweeps": {"eta": [0.25, 0.5]}}
     cfgp = write_config(tmp_path, cfg)
     assert main(["gen-data", "--config", cfgp, "--out", str(tmp_path / "g")]) == 0
     assert main(["train", "--config", cfgp, "--quiet"]) == 0
     capsys.readouterr()
-    written = (tmp_path / "g" / "data.csv").read_bytes()
-    assert written == (tmp_path / "run" / "data.csv").read_bytes()
+    names = ["data.csv", "forster.json"] if forster else ["data.csv"]
+    assert sorted(p.name for p in (tmp_path / "g").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "g" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
 
 def test_gen_data_requires_out(tmp_path, capsys):
@@ -215,60 +219,68 @@ def csv_config(tmp_path, ds, name="data", normalize=False, **data):
 
 
 def test_forster_from_csv(tmp_path, capsys):
+    # gen-data on a Forster config writes the transformed rows and the map
+    # that makes them, the same bytes train writes
     raw = ng.synth_sphere(24, 6, seed=0)
     skewed = ng.Dataset(raw.X * np.array([1, 1, 1, 1, 0.2, 0.1]), raw.y)
-    cfgp = csv_config(tmp_path, skewed, "raw", normalize=True)
+    src = tmp_path / "raw.csv"
+    ng.save_csv(skewed, src)
+    cfg = {"data": {"path": str(src)}, "preprocess": {"forster": True, "normalize": True},
+           "model": {"m": 64}, "optimizer": {"max_steps": 2},
+           "output": {"dir": str(tmp_path / "t")}}
+    cfgp = write_config(tmp_path, cfg)
     out = tmp_path / "out"
-    rc = main(["forster", "--config", cfgp, "--out", str(out)])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["final_error"] <= 1e-8
-    assert doc["max_reconstruction_error"] < 1e-8
-    ds = ng.load_csv(out / "forster_data.csv")
+    assert main(["gen-data", "--config", cfgp, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["validation"]["passed"] is True
+    ds = ng.load_csv(out / "data.csv")
     assert np.allclose(ds.X.T @ ds.X, (24 / 6) * np.eye(6), atol=1e-7)
     assert np.array_equal(ds.y, raw.y)
     sidecar = read_json(out / "forster.json")
-    assert sidecar["iterations"] >= 1
+    assert sidecar["iterations"] >= 1 and sidecar["final_error"] <= 1e-8
     assert len(sidecar["A"]) == 6
+    recon = ng.normalize_rows(ng.normalize_rows(skewed.X) @ np.array(sidecar["A"]))
+    assert np.max(np.abs(recon - ds.X)) < 1e-8
+    assert main(["train", "--config", cfgp, "--quiet"]) == 0
+    for name in ("data.csv", "forster.json"):
+        assert (out / name).read_bytes() == (tmp_path / "t" / name).read_bytes()
 
 
 def test_forster_from_config_transforms_once(tmp_path, capsys):
-    # a config with preprocess.forster: the command transforms the raw data
-    # once, giving the same file as a config naming the untransformed CSV
+    # a synth config with preprocess.forster transforms the drawn rows once,
+    # giving the same files as a config naming them saved to a CSV
     cfg = base_config(tmp_path / "unused")
     cfg["preprocess"] = {"forster": True}
     cfgp = write_config(tmp_path, cfg)
-    raw = csv_config(tmp_path, ng.synth_sphere(8, 4, seed=0), "raw")
-    assert main(["forster", "--config", cfgp, "--out", str(tmp_path / "a"), "--quiet"]) == 0
-    assert main(["forster", "--config", raw, "--out", str(tmp_path / "b"), "--quiet"]) == 0
-    for name in ("forster_data.csv", "forster.json"):
+    src = tmp_path / "raw.csv"
+    ng.save_csv(ng.synth_sphere(8, 4, seed=0), src)
+    raw = write_config(
+        tmp_path, {"data": {"path": str(src)}, "preprocess": {"forster": True}}, "raw.json"
+    )
+    assert main(["gen-data", "--config", cfgp, "--out", str(tmp_path / "a")]) == 0
+    assert main(["gen-data", "--config", raw, "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for name in ("data.csv", "forster.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_forster_exhausted_budget_exits_two(tmp_path, capsys):
-    cfgp = csv_config(tmp_path, ng.synth_sphere(12, 4, seed=1))
-    rc = main(["forster", "--config", cfgp, "--max-iter", "0", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "numerical failure" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--max-iter", "-1", "max_iter must be >= 0, got -1"),
-        ("--tol", "-1", "tol must be finite and >= 0, got -1.0"),
-    ],
-    ids=["max_iter", "tol"],
-)
-def test_forster_rejects_bad_budget(tmp_path, capsys, flag, value, message):
-    cfgp = csv_config(tmp_path, ng.synth_sphere(12, 4, seed=1))
+    # four of six rows in one plane of R^3, the most that radial isotropic
+    # position allows (n k / d = 4): the transform only creeps towards it,
+    # and runs out its 10 000 iterations
+    X = np.array([[1.0, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0], [0, 0, 1], [0.5, 0.2, 1]])
+    src = tmp_path / "plane.csv"
+    ng.save_csv(ng.Dataset(X, np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])), src)
+    cfg = {"data": {"path": str(src)}, "preprocess": {"forster": True, "normalize": True}}
     out = tmp_path / "o"
-    assert main(["forster", "--config", cfgp, flag, value, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"natgrad: error: {message}\n"
+    assert main(["gen-data", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("natgrad: numerical failure: no convergence to tol=1.0e-08")
+    assert len(captured.err.splitlines()) == 1
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["forster", "--out", "o"], ["gram"]], ids=["forster", "gram"])
+@pytest.mark.parametrize("argv", [["gram"]], ids=["gram"])
 def test_gram_and_forster_need_config(tmp_path, capsys, argv):
     assert main(argv) == 1
     assert "the following arguments are required: --config" in capsys.readouterr().err
@@ -504,13 +516,15 @@ def test_train_artifacts_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_train_seed_and_out_overrides(tmp_path, capsys):
+    # --out is the one override; the seed comes from model.seed
     cfg = base_config(tmp_path / "ignored")
+    cfg["model"]["seed"] = 7
     cfgp = write_config(tmp_path, cfg)
     out = tmp_path / "actual"
-    assert main(["train", "--config", cfgp, "--seed", "7", "--out", str(out), "--quiet"]) == 0
+    assert main(["train", "--config", cfgp, "--out", str(out), "--quiet"]) == 0
     capsys.readouterr()
     manifest = read_json(out / "manifest.json")
-    assert manifest["overrides"] == {"model.seed": 7, "output.dir": str(out)}
+    assert manifest["overrides"] == {"output.dir": str(out)}
     assert manifest["runs"][0]["seed"] == 7
     assert not (tmp_path / "ignored").exists()
 
@@ -631,13 +645,6 @@ def test_config_schema_violations_exit_one(tmp_path, capsys):
         prefix = f"natgrad: config error: {block}"
         assert err.startswith(prefix), f"case {i}: {err}"
         assert re.search(rf"\b{field}\b", err[len(prefix):]), f"case {i}: {err}"
-
-
-def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
-    cfgp = write_config(tmp_path, base_config(tmp_path / "run"))
-    assert main(["train", "--config", cfgp, "--seed", "-5", "--quiet"]) == 1
-    assert capsys.readouterr().err == "natgrad: config error: --seed: must be >= 0, got -5\n"
-    assert not (tmp_path / "run").exists()
 
 
 def test_malformed_json_exits_three(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Optimizer steps against dense oracles, and the training-loop contract."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,9 +129,14 @@ def test_optimizer_config_validation():
         (lambda p, ds, lm: OptimizerConfig(cg_iters=2.5), "cg_iters"),
         (lambda p, ds, lm: OptimizerConfig(max_steps=True), "max_steps"),
         (lambda p, ds, lm: OptimizerConfig(cg_iters=True), "cg_iters"),
+        (lambda p, ds, lm: OptimizerConfig(eta=True), "eta"),
+        (lambda p, ds, lm: OptimizerConfig(damping=False), "damping"),
+        (lambda p, ds, lm: OptimizerConfig(cg_tol=True), "cg_tol"),
+        (lambda p, ds, lm: ng.check_conditions(p, ds, kappa=True), "kappa"),
     ],
     ids=["kappa-nan", "gd-t-nan", "ngd-t-nan", "cg_tol-nan", "cg_tol-inf",
-         "max_steps-fraction", "cg_iters-fraction", "max_steps-bool", "cg_iters-bool"],
+         "max_steps-fraction", "cg_iters-fraction", "max_steps-bool", "cg_iters-bool",
+         "eta-bool", "damping-bool", "cg_tol-bool", "kappa-bool"],
 )
 def test_range_checks_refuse_non_finite_and_fractional_values(call, name):
     # each of these values used to pass its check and come back as NaN, as
@@ -799,6 +808,43 @@ def test_trace_deterministic():
     p = init_network(32, 3, nu=1.0, seed=24)
     cfg = OptimizerConfig(eta=0.5, damping=0.0, max_steps=5)
     assert train(p, ds, cfg).csv_text() == train(p, ds, cfg).csv_text()
+
+
+# One digest of trace CSV plus final weights per method, diagnostics off, at
+# a shape whose n x n guard factors in four SOLVE_PANEL panels.
+THREAD_DIGESTS = """
+import hashlib
+import natgrad as ng
+raw = ng.synth_sphere(256, 8, seed=3)
+ds = ng.Dataset(ng.forster_transform(raw.X).Z, raw.y)
+for method in ng.optim.METHODS:
+    p = ng.init_network(1024, 8, 1.0, seed=4)
+    trace = ng.train(p, ds, ng.OptimizerConfig(method=method, max_steps=5))
+    digest = hashlib.sha256(trace.csv_text().encode())
+    digest.update(trace.final_params.w.tobytes())
+    print(method, digest.hexdigest())
+"""
+
+
+def test_train_does_not_depend_on_blas_threads_across_panels():
+    """At (256, 8, 1024) on Forster data, every method's trace and final
+    weights are the same bytes at 1 and at 2 BLAS threads.  That is
+    measured, not general: at n = 200, whose unit blocks are 655 units wide
+    (BLOCK_BYTES / 8n) rather than 512, OpenBLAS rounds the forward's and
+    J^T r's products differently at 2 threads (ROADMAP item 8)."""
+    src = str(Path(ng.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_DIGESTS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert digests[0][::2] == list(ng.optim.METHODS)
+    assert digests[0] == digests[1]
 
 
 def test_empty_trace_final_residual():
