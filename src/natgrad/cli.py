@@ -3,20 +3,19 @@
 Subcommands:
 
     gen-data    write a config's dataset as CSV (and forster.json, as train does)
-    gram        print the spectrum of the limiting Gram of a dataset
+    gram        print the limiting Gram's spectrum, generalization bound and width
     train       run preprocess -> init -> train -> condition check, write artifacts
-    compare     train several configurations on shared data, tabulate rates
-    verify      print a consolidated condition / bound / rate report
     linearized  emit closed-form frozen-Jacobian trajectories as CSV
     report      merge one output directory's artifacts into report.json
 
 Configuration is a JSON object with blocks data, preprocess, model,
 optimizer, output, sweeps (see SCHEMA and parse_config).  Every subcommand
-that makes a dataset takes it from --config (compare takes several) through
-build_dataset, and only train runs a config's sweeps: compare, verify and
-linearized refuse a config that has one.  --out beats output.dir, and
-train records it in the manifest; seeds come only from model.seed and
-sweeps.seed.  Identical configuration produces
+that makes a dataset takes it from --config through build_dataset, and
+only train runs a config's sweeps: linearized refuses a config that has
+one.  Each of train's runs carries its predicted and observed per-step
+factors on ||u - y||^2 in the manifest, so an eta sweep is a rate table.
+--out beats output.dir, and train records it in the manifest; seeds come
+only from model.seed and sweeps.seed.  Identical configuration produces
 byte-identical artifacts; the only timestamp lives in manifest.json.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
@@ -50,7 +49,8 @@ from ._version import __version__
 from .data import Dataset
 from .errors import FormatError, NumericalError, SingularMatrixError
 
-COMPARE_THRESHOLD = 1e-3
+RESIDUAL_THRESHOLD = 1e-3  # the ||u - y|| of each run's steps_to_threshold
+OVERPARAM_DELTA = 0.1  # gram's failure probability for the suggested width
 FORMATS = ("csv", "json")
 
 CONDITION_SCOPE_NOTE = (
@@ -379,16 +379,23 @@ def _cell_name(cell: dict) -> str:
 
 def _run_cell(
     cfg: ExperimentConfig, cell: dict, ds: Dataset
-) -> tuple[optim.ConvergenceTrace, theory.ConditionReport]:
-    """Train one sweep cell from W(0) and check the conditions at its final
-    iterate.  A cell's m and seed replace the model block's, its eta the
-    optimizer's."""
+) -> tuple[optim.ConvergenceTrace, theory.ConditionReport, dict]:
+    """Train one sweep cell from W(0), check the conditions at its final
+    iterate and measure its rate.  A cell's m and seed replace the model
+    block's, its eta the optimizer's."""
     ocfg = cfg.optimizer_config
     if "eta" in cell:
         ocfg = dataclasses.replace(ocfg, eta=cell["eta"])
     trace = optim.train(_init_params({**cfg.model, **cell}, ds), ds, ocfg)
     report = theory.check_conditions(trace.final_params, ds, kappa=ocfg.loss.kappa, trace=trace)
-    return trace, report
+    k, r0, rk = len(trace.records), trace.initial_residual_norm, trace.final_residual_norm
+    rates = {
+        "predicted_factor": optim.predicted_factor(ocfg, ds),
+        # per-step factor on ||u - y||^2, the quantity predicted_factor bounds
+        "observed_gm_factor": (rk / r0) ** (2.0 / k) if r0 > 0 and k > 0 else math.nan,
+        "steps_to_threshold": trace.steps_to_threshold(RESIDUAL_THRESHOLD),
+    }
+    return trace, report, rates
 
 
 def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) -> None:
@@ -406,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
     sweeping = bool(cfg.sweeps)
     formats = cfg.output["formats"]
     runs = []
-    for cell, trace, report in results:
+    for cell, trace, report, rates in results:
         name = _cell_name(cell)
         suffix = f"__{name}" if sweeping else ""
         files: dict = {}
@@ -435,6 +442,7 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
                 "seed": trace.final_params.seed,
                 "condition1_holds": report.condition1_holds,
                 "condition2_holds": report.condition2_holds,
+                **rates,
                 "files": files,
             }
         )
@@ -458,6 +466,7 @@ def run_experiment(cfg: ExperimentConfig, overrides: dict, quiet: bool = False) 
         },
         "overrides": overrides,
         "runs": runs,
+        "threshold": RESIDUAL_THRESHOLD,
         "version": __version__,
     }
     _atomic_write_text(out_dir / "manifest.json", _dump_json(manifest))
@@ -475,15 +484,6 @@ def _apply_overrides(cfg: ExperimentConfig, out: str | None) -> tuple[Experiment
     if not out:
         return cfg, {}
     return dataclasses.replace(cfg, output={**cfg.output, "dir": out}), {"output.dir": out}
-
-
-def _load_one_cell(path, command: str) -> ExperimentConfig:
-    """The config at path, refused if it sweeps: a sweep has many cells,
-    and only train runs more than one."""
-    cfg = load_config(path)
-    if cfg.sweeps:
-        raise ConfigError(f"{command}: config.sweeps: only train runs a sweep")
-    return cfg
 
 
 def cmd_gen_data(args) -> None:
@@ -506,10 +506,20 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_gram(args) -> None:
-    ds, _ = build_dataset(load_config(args.config))
+    cfg = load_config(args.config)
+    ds, _ = build_dataset(cfg)
     G = gram_mod.limiting_gram(ds)
     eigs = gram_mod.spectrum(G)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    try:
+        bound = dataclasses.asdict(theory.generalization_bound(G, ds.y))
+    except SingularMatrixError as exc:
+        bound = {"error": str(exc)}
+    suggested_m = (
+        theory.overparam_requirement(ds.n, lam_min, cfg.model["nu"], OVERPARAM_DELTA)
+        if lam_min > 0
+        else None
+    )
     if args.export:
         _atomic_write_text(Path(args.export), gram_mod.csv_text(G))
     print(
@@ -521,6 +531,12 @@ def cmd_gram(args) -> None:
                 "lambda_min": lam_min,
                 "lambda_max": lam_max,
                 "condition_number": lam_max / lam_min if lam_min > 0 else math.inf,
+                "generalization_bound": bound,
+                "overparam": {
+                    "suggested_m": suggested_m,
+                    "delta": OVERPARAM_DELTA,
+                    "note": OVERPARAM_NOTE,
+                },
             }
         ),
         end="",
@@ -532,117 +548,13 @@ def cmd_train(args) -> None:
     run_experiment(cfg, overrides, quiet=args.quiet)
 
 
-def cmd_compare(args) -> None:
-    if len(args.config) < 2:
-        raise ConfigError("compare: need at least two --config files")
-    cfgs = [_load_one_cell(path, "compare") for path in args.config]
-    ref = cfgs[0]
-    for i, cfg in enumerate(cfgs[1:], start=2):
-        if (
-            cfg.data != ref.data
-            or cfg.preprocess != ref.preprocess
-            or cfg.model["seed"] != ref.model["seed"]
-        ):
-            raise ConfigError(
-                f"compare: config #{i} does not share the data block, "
-                "preprocessing, and model seed with the first config"
-            )
-
-    ds, _ = build_dataset(ref)
-    rows = []
-    for cfg in cfgs:
-        ocfg = cfg.optimizer_config
-        trace = optim.train(_init_params(cfg.model, ds), ds, ocfg)
-        k = len(trace.records)
-        r0 = trace.initial_residual_norm
-        rk = trace.final_residual_norm
-        # per-step factor on ||u - y||^2, the quantity predicted_factor bounds
-        observed = (rk / r0) ** (2.0 / k) if r0 > 0 and k > 0 else math.nan
-        predicted = optim.predicted_factor(ocfg, ds)
-        rows.append(
-            {
-                "method": ocfg.method,
-                "eta": ocfg.eta,
-                "steps_to_threshold": trace.steps_to_threshold(COMPARE_THRESHOLD),
-                "final_residual": rk,
-                "predicted_factor": predicted,
-                "observed_gm_factor": observed,
-            }
-        )
-
-    headers = (
-        "method", "eta", f"steps_to_{COMPARE_THRESHOLD:g}",
-        "final_residual", "predicted_factor", "observed_gm_factor",
-    )
-    def _show(row):
-        return (
-            row["method"],
-            f"{row['eta']:g}",
-            "-" if row["steps_to_threshold"] is None else str(row["steps_to_threshold"]),
-            f"{row['final_residual']:.6e}",
-            "-" if math.isnan(row["predicted_factor"]) else f"{row['predicted_factor']:.6g}",
-            "-" if math.isnan(row["observed_gm_factor"]) else f"{row['observed_gm_factor']:.6g}",
-        )
-
-    table = [headers] + [_show(r) for r in rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-    for line in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
-
-    if args.out:
-        out_dir = Path(args.out)
-        table = data_mod.csv_table(rows[0], (row.values() for row in rows))
-        _atomic_write_text(out_dir / "comparison.csv", table)
-        _atomic_write_text(
-            out_dir / "comparison.json",
-            _dump_json({"threshold": COMPARE_THRESHOLD, "rows": rows}),
-        )
-        if not args.quiet:
-            print(f"wrote comparison.csv and comparison.json to {out_dir}")
-
-
-def cmd_verify(args) -> None:
-    cfg, _ = _apply_overrides(_load_one_cell(args.config, "verify"), args.out)
-    ds, fr = build_dataset(cfg)
-    trace, report = _run_cell(cfg, {}, ds)
-    Ginf = gram_mod.limiting_gram(ds)
-    lam0_inf = gram_mod.min_eig(Ginf)
-    try:
-        bound = dataclasses.asdict(theory.generalization_bound(Ginf, ds.y))
-    except SingularMatrixError as exc:
-        bound = {"error": str(exc)}
-    overparam = (
-        theory.overparam_requirement(ds.n, lam0_inf, cfg.model["nu"], 0.1)
-        if lam0_inf > 0
-        else None
-    )
-    doc = {
-        "config_hash": cfg.config_hash(),
-        "conditions": dataclasses.asdict(report),
-        "condition_scope": CONDITION_SCOPE_NOTE,
-        "forster_applied": fr is not None,
-        "generalization_bound": bound,
-        "lambda_min_limiting_gram": lam0_inf,
-        "overparam": {
-            "suggested_m": overparam,
-            "delta": 0.1,
-            "note": OVERPARAM_NOTE,
-        },
-        "trace": {
-            **trace.summary(),
-            "steps_to_threshold": trace.steps_to_threshold(COMPARE_THRESHOLD),
-            "threshold": COMPARE_THRESHOLD,
-        },
-    }
-    print(_dump_json(doc), end="")
-    if args.out:
-        _atomic_write_text(Path(args.out) / "verify.json", _dump_json(doc))
-
-
 def cmd_linearized(args) -> None:
     if args.points < 2:
         raise ConfigError("linearized: --points must be >= 2")
-    cfg, _ = _apply_overrides(_load_one_cell(args.config, "linearized"), args.out)
+    cfg = load_config(args.config)
+    if cfg.sweeps:  # a sweep has many cells, and only train runs more than one
+        raise ConfigError("linearized: config.sweeps: only train runs a sweep")
+    cfg, _ = _apply_overrides(cfg, args.out)
     if cfg.output["dir"] is None:
         raise ConfigError("config.output.dir: required (or pass --out)")
     ds, _ = build_dataset(cfg)
@@ -786,7 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser(
-        "gram", parents=[config], help="print the limiting Gram spectrum of a dataset"
+        "gram", parents=[config],
+        help="print the limiting Gram spectrum, generalization bound and width",
     )
     p.add_argument("--export", metavar="PATH", help="also write the Gram matrix as CSV")
     p.set_defaults(func=cmd_gram)
@@ -795,22 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         "train", parents=[config, out, quiet], help="run a training experiment"
     )
     p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser(
-        "compare", parents=[out, quiet],
-        help="train several configs on shared data and tabulate rates",
-    )
-    p.add_argument(
-        "--config", metavar="PATH", action="append", default=[],
-        help="repeatable; at least two configs sharing data and seed",
-    )
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser(
-        "verify", parents=[config, out],
-        help="print a consolidated condition / bound / rate report",
-    )
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "linearized", parents=[config, out, quiet],

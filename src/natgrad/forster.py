@@ -18,6 +18,9 @@ from .errors import NonConvergenceError, RankDeficiencyError
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
 EIG_FLOOR = 1e-14
+# largest accepted max |normalize_rows(X A) - Z|: the returned rows must be
+# the image of the input under the returned map
+RECONSTRUCTION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,14 @@ def forster_transform(
     """Run the whitening/renormalization iteration until Z.T Z = (n/d) I.
 
     Convergence means the Frobenius error drops to tol; an input already at
-    the fixed point returns immediately with iterations=0 and A=I.  Raises
-    RankDeficiencyError if Z.T Z becomes (numerically) singular at any
-    iterate, and NonConvergenceError carrying the final error if max_iter
-    is exhausted.  Raises ValueError unless max_iter >= 0 and tol is finite
+    the fixed point (unit rows, Z.T Z = (n/d) I) returns immediately with
+    iterations=0 and A=I.  Raises RankDeficiencyError if Z.T Z becomes
+    (numerically) singular at any iterate, and NonConvergenceError carrying
+    the final error if max_iter is exhausted or the returned Z is not
+    normalize_rows(X @ A) within RECONSTRUCTION_TOL.  The latter happens
+    when X has no radial isotropic position (some k-dimensional subspace
+    holds more than k n / d rows): A then degenerates while Z still
+    converges.  Raises ValueError unless max_iter >= 0 and tol is finite
     and >= 0.
     """
     if max_iter < 0:
@@ -94,6 +101,14 @@ def forster_transform(
         err = float(np.linalg.norm(ZtZ - target, "fro"))
         errors.append(err)
         if err <= tol:
+            gap = float(np.max(np.abs(normalize_rows(X @ A) - Z)))
+            if not gap <= RECONSTRUCTION_TOL:
+                raise NonConvergenceError(
+                    f"converged rows are not the image of the input under A (max gap "
+                    f"{gap:.3e} after {iteration} iterations); the input may have no "
+                    "radial isotropic position",
+                    final_error=err,
+                )
             return ForsterResult(A, Z, iteration, err, np.array(errors), rescale_skipped)
         if iteration == max_iter:
             break

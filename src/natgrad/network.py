@@ -135,7 +135,7 @@ class JacobianView:
 
     def _float_blocks(self):
         """(lo, F) for each unit block of S from unit lo on: F is the block
-        as float64 (exact: 0/1), in one reused buffer of at most BLOCK_BYTES,
+        as float64 (exact: 0/1), in one reused buffer of _block_width units,
         so no n x m float64 copy is formed.  F is overwritten by the next
         block."""
         n, m = self.S.shape
@@ -167,7 +167,7 @@ def forward(p: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, S): the outputs u_i = (1/sqrt(m)) sum_r a_r max(w_r . x_i, 0) and
     the n x m bool activation pattern of the same pre-activations.  X w^T
     is formed once, one block of units at a time in one reused n x w
-    float64 buffer of at most BLOCK_BYTES (one block when that covers m);
+    float64 buffer of _block_width units (one block when BLOCK_BYTES covers m);
     the blocks' partial outputs are summed in unit order."""
     X = _check_inputs(p, X)
     n, m = X.shape[0], p.m
@@ -211,9 +211,13 @@ def jacobian(p: NetworkParams, X: np.ndarray) -> JacobianView:
 
 
 def _block_width(n: int, m: int) -> int:
-    """Units per block of n x w float64 work: as many as BLOCK_BYTES holds,
-    at least 1 and at most m."""
-    return max(1, min(m, BLOCK_BYTES // (8 * n)))
+    """Units per block of n x w float64 work: all m when BLOCK_BYTES holds
+    them, else as many as it holds rounded down to a multiple of 64, at
+    least 64 (so above n = 2048 a block exceeds BLOCK_BYTES).  With widths
+    off that grid, OpenBLAS rounded the blocks' products differently at 1
+    and 2 threads, for example at n = 200 (655 units)."""
+    width = BLOCK_BYTES // (8 * n)
+    return m if width >= m else min(m, max(64, width - width % 64))
 
 
 def _active(Z: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -223,10 +223,14 @@ def generalization_bound(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    # y over a power of two, an exact scaling, so that y^T (G_inf)^{-1} y
+    # stays in float range for targets near 1e200
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(y))))[1] - 1)
+    y = y / scale
     if (z := gram.guarded_solve(Ginf, y)) is None:
         detail = f"lambda_min = {gram.min_eig(Ginf):.3e} <= {PD_FLOOR:.0e}"
         raise SingularMatrixError(f"limiting Gram is numerically singular: {detail}")
-    quad = math.sqrt(2.0 * float(y @ z) / n)
+    quad = scale * math.sqrt(2.0 * float(y @ z) / n)
     conf = 3.0 * math.sqrt(math.log(6.0 / delta) / (2.0 * n))
     return GenBoundReport(
         quad_term=quad,

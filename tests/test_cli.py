@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, exit codes, artifact contracts."""
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import natgrad as ng
 from natgrad.cli import build_dataset, build_parser, main, parse_config
+from test_forster import NO_POSITION
 
 TRACE_HEADER = (
     "k,residual_norm,loss,weight_drift,per_unit_max_drift,"
@@ -62,8 +64,6 @@ CLI_FLAGS = {
     "gen-data": ("--config", "--out"),
     "gram": ("--config", "--export"),
     "train": ("--config", "--out", "--quiet"),
-    "compare": ("--config", "--out", "--quiet"),
-    "verify": ("--config", "--out"),
     "linearized": ("--config", "--out", "--points", "--quiet"),
     "report": ("--out", "--quiet"),
 }
@@ -80,13 +80,15 @@ def test_cli_flag_table():
         for name, sub in commands.choices.items()
     }
     assert table == CLI_FLAGS
-    assert sum(len(flags) for flags in table.values()) == 18
+    assert sum(len(flags) for flags in table.values()) == 13
 
 
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["forster", "--config", "c.json", "--out", "o"]) == 1  # gen-data's job
+    assert main(["compare", "--config", "c.json", "--config", "g.json"]) == 1  # train's manifest
+    assert main(["verify", "--config", "c.json"]) == 1  # train's artifacts and gram
     assert main(["train"]) == 1  # --config required
     capsys.readouterr()
 
@@ -95,10 +97,10 @@ def test_usage_errors_exit_one(capsys):
     "command, flag",
     [
         ("gram", "--out"), ("gram", "--seed"), ("gram", "--quiet"), ("report", "--seed"),
-        ("gen-data", "--quiet"), ("verify", "--quiet"),
+        ("gen-data", "--quiet"),
         *(("gen-data", flag) for flag in ("--seed", "--n", "--d", "--target-model")),
         *(("gram", flag) for flag in ("--data", "--label-column", "--normalize")),
-        *((command, "--seed") for command in ("train", "compare", "verify", "linearized")),
+        *((command, "--seed") for command in ("train", "linearized")),
     ],
 )
 def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, command, flag):
@@ -110,9 +112,7 @@ def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, command, flag):
         "gram": ["--config", cfgp],
         "report": ["--out", str(run_dir)],
         "gen-data": ["--config", cfgp, "--out", str(tmp_path / "g")],
-        "verify": ["--config", cfgp],
         "train": ["--config", cfgp, "--quiet"],
-        "compare": ["--config", cfgp, "--config", cfgp, "--quiet"],
         "linearized": ["--config", cfgp, "--points", "3", "--quiet"],
     }[command]
     if command == "report":
@@ -280,6 +280,26 @@ def test_forster_exhausted_budget_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize("rows", ["3_of_4_in_a_plane", "5_of_8_in_a_plane"])
+def test_forster_with_no_position_exits_two(tmp_path, capsys, command, rows):
+    # inputs whose transform converges on rows that are no image of the
+    # input: exit 2, one stderr line, no file
+    X = np.array(NO_POSITION[rows], dtype=float)
+    src = tmp_path / "crowded.csv"
+    ng.save_csv(ng.Dataset(X, np.resize([1.0, -1.0], len(X))), src)
+    cfg = {"data": {"path": str(src)}, "preprocess": {"forster": True, "normalize": True}}
+    out = tmp_path / "o"
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("natgrad: numerical failure: converged rows are not the image")
+    assert captured.err.endswith("the input may have no radial isotropic position\n")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["gram"]], ids=["gram"])
 def test_gram_and_forster_need_config(tmp_path, capsys, argv):
     assert main(argv) == 1
@@ -309,6 +329,35 @@ def test_gram_reports_spectrum(tmp_path, capsys):
     assert np.array_equal(M, ng.limiting_gram(ng.load_csv(src, label_column="y")))
     assert export.read_bytes().count(b"\r\n") == 12
     assert [p.name for p in export.parent.iterdir()] == ["gram.csv"]  # no temp file left
+
+
+def test_gram_reports_bound_and_width(tmp_path, capsys):
+    # the limiting Gram's generalization bound and the width the theory asks
+    # for at the config's nu, from the spectrum gram prints
+    cfg = base_config(tmp_path / "unused")
+    cfg["model"]["nu"] = 0.5
+    assert main(["gram", "--config", write_config(tmp_path, cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ds, _ = build_dataset(parse_config(cfg))
+    G = ng.limiting_gram(ds)
+    gb = doc["generalization_bound"]
+    assert gb == dataclasses.asdict(ng.generalization_bound(G, ds.y))
+    assert gb["total"] == pytest.approx(gb["quad_term"] + gb["conf_term"] + gb["epsilon"])
+    assert doc["overparam"]["delta"] == 0.1 and doc["overparam"]["note"]
+    assert doc["overparam"]["suggested_m"] == ng.overparam_requirement(
+        ds.n, doc["lambda_min"], 0.5, 0.1
+    )
+
+
+def test_gram_with_underflowing_nu(tmp_path, capsys):
+    # nu**2 underflows to 0 in the width requirement: no float width is
+    # enough, so suggested_m is null (+inf) and gram still exits 0
+    cfg = base_config(tmp_path / "unused")
+    cfg["model"]["nu"] = 1e-300
+    assert main(["gram", "--config", write_config(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["overparam"]["suggested_m"] is None
 
 
 def test_gram_from_config_applies_preprocessing(tmp_path, capsys):
@@ -735,161 +784,77 @@ def test_config_defaults():
 
 
 # ---------------------------------------------------------------------------
-# compare
+# rates in train's manifest
 
 
-def test_compare_tabulates_methods(tmp_path, capsys):
-    shared = base_config(tmp_path / "unused")
-    del shared["output"]
-    ngd_cfg = json.loads(json.dumps(shared))
-    gd_cfg = json.loads(json.dumps(shared))
-    gd_cfg["optimizer"] = {"method": "gd", "eta": 0.5, "max_steps": 5}
-    p1 = write_config(tmp_path, ngd_cfg, "ngd.json")
-    p2 = write_config(tmp_path, gd_cfg, "gd.json")
-    out = tmp_path / "cmp"
-    assert main(["compare", "--config", p1, "--config", p2, "--out", str(out), "--quiet"]) == 0
-    stdout = capsys.readouterr().out
-    lines = stdout.strip().split("\n")
-    assert lines[0].split()[:2] == ["method", "eta"]
-    assert "steps_to_0.001" in lines[0]
-    assert lines[1].startswith("ngd_exact")
-    assert lines[2].startswith("gd")
-
-    rows = (out / "comparison.csv").read_text().strip().split("\n")
-    assert rows[0] == (
-        "method,eta,steps_to_threshold,final_residual,"
-        "predicted_factor,observed_gm_factor"
-    )
-    assert len(rows) == 3
-    gd_cells = rows[2].split(",")
-    assert gd_cells[0] == "gd"
-    assert gd_cells[4] == ""  # no geometric prediction for gd
-    doc = read_json(out / "comparison.json")
-    assert doc["threshold"] == 1e-3
-    assert doc["rows"][0]["predicted_factor"] == 0.5
-    assert doc["rows"][1]["predicted_factor"] is None
+@pytest.mark.filterwarnings("ignore:eta = 0.5 exceeds lambda_min:UserWarning")
+def test_compare_factors_are_on_squared_residual(tmp_path, capsys):
+    # the README data: each run's observed_gm_factor is the per-step factor
+    # on ||u - y||^2, the same quantity predicted_factor bounds; one train
+    # per method, and gd has no predicted factor
+    shared = {
+        "data": {"synth": {"n": 16, "d": 8, "seed": 1}},
+        "model": {"m": 4096, "nu": 1.0, "seed": 5},
+    }
+    for method in ("ngd_exact", "kfac", "gd"):
+        cfg = {**shared, "optimizer": {"method": method, "damping": 0.0, "max_steps": 10}}
+        out = tmp_path / method
+        assert main(["train", "--config", write_config(tmp_path, cfg, f"{method}.json"),
+                     "--out", str(out), "--quiet"]) == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["threshold"] == 1e-3
+        (run,) = manifest["runs"]
+        assert run["method"] == method
+        ds, _ = build_dataset(parse_config(cfg))
+        trace = ng.train(ng.init_network(4096, ds.d, 1.0, seed=5), ds,
+                         parse_config(cfg).optimizer_config)
+        k = len(trace.records)
+        ratio = trace.final_residual_norm / trace.initial_residual_norm
+        assert run["observed_gm_factor"] == ratio ** (2.0 / k)
+        assert run["steps_to_threshold"] == trace.steps_to_threshold(1e-3)
+        if method == "gd":
+            assert run["predicted_factor"] is None  # no geometric prediction
+        else:
+            lam_max = np.linalg.eigvalsh(ds.X.T @ ds.X)[-1]
+            predicted = 0.5 if method == "ngd_exact" else 1.0 - 0.5 / lam_max
+            assert run["predicted_factor"] == pytest.approx(predicted, rel=1e-12)
+            assert run["observed_gm_factor"] <= run["predicted_factor"]
+        assert main(["report", "--out", str(out), "--quiet"]) == 0
+        (entry,) = read_json(out / "report.json")["experiments"]
+        assert {key: entry[key] for key in run} == run
+    capsys.readouterr()
 
 
 def test_library_warning_printed_as_natgrad_line(tmp_path, capsys):
     """A library UserWarning reaches stderr as one natgrad: line, without
     the library's file path or source line."""
-    shared = base_config(tmp_path / "unused")
-    del shared["output"]
+    kfac_cfg = base_config(tmp_path / "run")
     ds = ng.synth_sphere(8, 4, seed=0)
     lam_min = float(np.linalg.eigvalsh(ds.X.T @ ds.X)[0])
-    kfac_cfg = json.loads(json.dumps(shared))
     kfac_cfg["optimizer"] = {"method": "kfac", "eta": 2.0 * lam_min, "damping": 0.0, "max_steps": 5}
     assert lam_min < kfac_cfg["optimizer"]["eta"] < 1.0
-    p1 = write_config(tmp_path, shared, "ngd.json")
-    p2 = write_config(tmp_path, kfac_cfg, "kfac.json")
-    assert main(["compare", "--config", p1, "--config", p2, "--quiet"]) == 0
+    assert main(["train", "--config", write_config(tmp_path, kfac_cfg), "--quiet"]) == 0
     err = capsys.readouterr().err
     assert "natgrad: warning: eta = " in err
     assert "exceeds lambda_min(X^T X)" in err
     assert ".py:" not in err and "warnings.warn" not in err
 
 
-def test_compare_rejects_mismatched_data(tmp_path, capsys):
-    a = base_config(tmp_path / "x")
-    b = json.loads(json.dumps(a))
-    b["data"]["synth"]["seed"] = 99
-    p1 = write_config(tmp_path, a, "a.json")
-    p2 = write_config(tmp_path, b, "b.json")
-    assert main(["compare", "--config", p1, "--config", p2]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("natgrad: config error: compare: config #2 does not share")
-
-
-def test_compare_needs_two_configs(tmp_path, capsys):
-    p1 = write_config(tmp_path, base_config(tmp_path))
-    assert main(["compare", "--config", p1]) == 1
-    assert capsys.readouterr().err == (
-        "natgrad: config error: compare: need at least two --config files\n"
-    )
-
-
-@pytest.mark.parametrize("command", ["compare", "verify", "linearized"])
+@pytest.mark.parametrize("command", ["linearized"])
 def test_single_run_commands_refuse_sweeps(tmp_path, capsys, command):
     """Only train runs a sweep; the others would silently run the base
     cell, which need not be one of the sweep's cells."""
     out = tmp_path / "out"
     cfg = {**base_config(tmp_path / "unused"), "sweeps": {"eta": [0.25, 0.75]}}
     cfgp = write_config(tmp_path, cfg)
-    argv = [command, "--config", cfgp, "--out", str(out)]
-    if command == "compare":
-        argv += ["--config", write_config(tmp_path, base_config(tmp_path / "unused"), "one.json")]
-    assert main(argv) == 1
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 1
     assert capsys.readouterr() == (
         "", f"natgrad: config error: {command}: config.sweeps: only train runs a sweep\n"
     )
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:eta = 0.5 exceeds lambda_min:UserWarning")
-def test_compare_factors_are_on_squared_residual(tmp_path, capsys):
-    # the README data: observed_gm_factor is the per-step factor on
-    # ||u - y||^2, the same quantity predicted_factor bounds
-    shared = {
-        "data": {"synth": {"n": 16, "d": 8, "seed": 1}},
-        "model": {"m": 4096, "nu": 1.0, "seed": 5},
-    }
-    paths = []
-    for method in ("ngd_exact", "kfac"):
-        cfg = {**shared, "optimizer": {"method": method, "damping": 0.0, "max_steps": 10}}
-        paths.append(write_config(tmp_path, cfg, f"{method}.json"))
-    out = tmp_path / "cmp"
-    args = ["compare", "--config", paths[0], "--config", paths[1], "--out", str(out), "--quiet"]
-    assert main(args) == 0
-    capsys.readouterr()
-    rows = read_json(out / "comparison.json")["rows"]
-    assert [row["method"] for row in rows] == ["ngd_exact", "kfac"]
-    for path, row in zip(paths, rows):
-        cfg = parse_config(read_json(path))
-        ds, _ = build_dataset(cfg)
-        p = ng.init_network(4096, ds.d, 1.0, seed=5)
-        trace = ng.train(p, ds, cfg.optimizer_config)
-        k = len(trace.records)
-        ratio = trace.final_residual_norm / trace.initial_residual_norm
-        assert row["observed_gm_factor"] == ratio ** (2.0 / k)
-        assert row["observed_gm_factor"] <= row["predicted_factor"]
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def test_verify_consolidated_report(tmp_path, capsys):
-    cfg = base_config(tmp_path / "v")
-    cfg["model"]["m"] = 256
-    cfgp = write_config(tmp_path, cfg)
-    out = tmp_path / "vout"
-    assert main(["verify", "--config", cfgp, "--out", str(out)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["conditions"]["condition1_holds"] is True
-    assert doc["conditions"]["lambda_min_G0"] > 0
-    assert doc["lambda_min_limiting_gram"] > 0
-    gb = doc["generalization_bound"]
-    assert gb["total"] == pytest.approx(
-        gb["quad_term"] + gb["conf_term"] + gb["epsilon"]
-    )
-    assert doc["overparam"]["suggested_m"] > 0
-    assert doc["trace"]["steps"] == 5
-    assert doc["trace"]["threshold"] == 1e-3
-    assert read_json(out / "verify.json") == doc
-
-
-def test_verify_with_underflowing_nu(tmp_path, capsys):
-    # nu**2 underflows to 0 in the width requirement: no float width is
-    # enough, so suggested_m is null (+inf) and verify still exits 0
-    cfg = base_config(tmp_path / "v")
-    cfg["model"]["nu"] = 1e-300
-    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert json.loads(captured.out)["overparam"]["suggested_m"] is None
-
-
-@pytest.mark.parametrize("command", ["train", "verify"])
+@pytest.mark.parametrize("command", ["train"])
 def test_overflowing_residual_exits_two(tmp_path, capsys, command):
     # outputs near 1e300 square past float range: divergence at step 0,
     # one stderr line and nothing written
@@ -1151,7 +1116,7 @@ def test_module_invocation():
 
 @st.composite
 def edge_runs(draw):
-    """(command, config, dataset written as CSV or None): train or verify,
+    """(command, config, dataset written as CSV or None): train or gram,
     each method, nu at 1e-300, 1 and 1e150, m from 1, d above n, and CSV
     rows with a duplicate, an antipodal pair or labels near 1e200."""
     n, d = draw(st.integers(2, 6)), draw(st.integers(2, 8))
@@ -1175,13 +1140,13 @@ def edge_runs(draw):
         },
     }
     if rows == "synth":
-        return draw(st.sampled_from(["train", "verify"])), cfg, None
+        return draw(st.sampled_from(["train", "gram"])), cfg, None
     ds = ng.synth_sphere(n, d, seed)
     X = ds.X.copy()
     if rows != "plain":
         X[-1] = X[0] if rows == "duplicate" else -X[0]
     y = ds.y * draw(st.sampled_from([1.0, 1.7e200]))
-    return draw(st.sampled_from(["train", "verify"])), cfg, ng.Dataset(X, y)
+    return draw(st.sampled_from(["train", "gram"])), cfg, ng.Dataset(X, y)
 
 
 def finite_float(text):
@@ -1214,14 +1179,17 @@ def test_edge_configs_succeed_with_finite_artifacts_or_fail_in_one_line(run):
             cfg = {**cfg, "data": {"path": str(tmp / "data_in.csv")}}
         (tmp / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         out_dir = tmp / "out"
-        argv = [command, "--config", str(tmp / "cfg.json"), "--out", str(out_dir)]
+        argv = [command, "--config", str(tmp / "cfg.json")] + (
+            ["--out", str(out_dir), "--quiet"] if command == "train"
+            else ["--export", str(out_dir / "gram.csv")]
+        )
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv + (["--quiet"] if command == "train" else []))
+            code = main(argv)
         if code == 0:
             for path in sorted(out_dir.iterdir()):
                 assert_finite_artifact(path)
-            if command == "verify":
+            if command == "gram":
                 json.loads(stdout.getvalue(), parse_float=finite_float,
                            parse_constant=finite_float)
         else:

@@ -87,6 +87,25 @@ def test_transform_rejects_rank_deficient_inputs():
         forster_transform(X)
 
 
+# rows crowding a subspace: a k-dimensional one holds more than k n / d of
+# them, so no radial isotropic position exists
+NO_POSITION = {
+    "3_of_4_in_a_plane": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0.3, 0.2, 1]],
+    "5_of_8_in_a_plane": [
+        [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [1, -1, 0, 0], [2, 1, 0, 0],
+        [0, 0, 1, 0], [0, 0, 0, 1], [0.3, 0.2, 0.5, 1],
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", list(NO_POSITION.values()), ids=list(NO_POSITION))
+def test_transform_refuses_inputs_with_no_position(rows):
+    # the loop's error still falls below tol, but A degenerates (cond ~1e17)
+    # and the converged rows are no image of the input under it
+    with pytest.raises(NonConvergenceError, match="may have no radial isotropic position"):
+        forster_transform(normalize_rows(np.array(rows, dtype=float)))
+
+
 def test_transform_budget_exhaustion():
     ds = synth_sphere(12, 4, seed=3)
     with pytest.raises(NonConvergenceError) as err:

@@ -89,11 +89,11 @@ def test_forward_single_input(small_net, inputs):
 @pytest.mark.parametrize("width", [None, 16, 1])  # None: one block covers m
 def test_unit_blocks_change_only_summation_order(monkeypatch, width):
     # forward, pattern_product and apply_weights split the units into
-    # BLOCK_BYTES-sized blocks (16 gives ragged 16 + 16 + 16 + 2); the
-    # pattern is the same bits at every width, and u, M @ S and J vec(V)
-    # move by summation order only
+    # BLOCK_BYTES-sized blocks (16 and 1 round up to 64 units, ragged
+    # 64 + 64 + 22); the pattern is the same bits at every width, and u,
+    # M @ S and J vec(V) move by summation order only
     ds = synth_sphere(9, 5, seed=3)
-    p = init_network(50, 5, nu=1.0, seed=2)
+    p = init_network(150, 5, nu=1.0, seed=2)
     rng = np.random.default_rng(4)
     M = rng.standard_normal((4, ds.n))
     V = rng.standard_normal(p.w.shape)
@@ -115,6 +115,18 @@ def test_unit_blocks_change_only_summation_order(monkeypatch, width):
             assert got.tobytes() == whole.tobytes()
         else:
             assert np.abs(got - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize(
+    "n, m, width",
+    [
+        (16, 4096, 4096), (128, 32768, 1024), (1024, 4096, 128),  # the benchmark shapes
+        (200, 1024, 640), (200, 4096, 640), (1000, 1024, 128),  # 655 and 131 round down
+        (2049, 1024, 64), (20000, 10, 10),  # at least 64 units, at most m
+    ],
+)
+def test_block_width_is_all_units_or_a_multiple_of_64(n, m, width):
+    assert network._block_width(n, m) == width
 
 
 def test_apply_weights_peak_memory_is_one_unit_block():

@@ -810,28 +810,31 @@ def test_trace_deterministic():
     assert train(p, ds, cfg).csv_text() == train(p, ds, cfg).csv_text()
 
 
-# One digest of trace CSV plus final weights per method, diagnostics off, at
-# a shape whose n x n guard factors in four SOLVE_PANEL panels.
+# One digest of trace CSV plus final weights per method and n, diagnostics
+# off: at n = 256 the n x n guard factors in four SOLVE_PANEL panels, and at
+# n = 200 the unit blocks are 640 units wide, not all of m.
 THREAD_DIGESTS = """
 import hashlib
 import natgrad as ng
-raw = ng.synth_sphere(256, 8, seed=3)
-ds = ng.Dataset(ng.forster_transform(raw.X).Z, raw.y)
-for method in ng.optim.METHODS:
-    p = ng.init_network(1024, 8, 1.0, seed=4)
-    trace = ng.train(p, ds, ng.OptimizerConfig(method=method, max_steps=5))
-    digest = hashlib.sha256(trace.csv_text().encode())
-    digest.update(trace.final_params.w.tobytes())
-    print(method, digest.hexdigest())
+for n in (256, 200):
+    raw = ng.synth_sphere(n, 8, seed=3)
+    ds = ng.Dataset(ng.forster_transform(raw.X).Z, raw.y)
+    for method in ng.optim.METHODS:
+        p = ng.init_network(1024, 8, 1.0, seed=4)
+        trace = ng.train(p, ds, ng.OptimizerConfig(method=method, max_steps=5))
+        digest = hashlib.sha256(trace.csv_text().encode())
+        digest.update(trace.final_params.w.tobytes())
+        print(method, digest.hexdigest())
 """
 
 
 def test_train_does_not_depend_on_blas_threads_across_panels():
-    """At (256, 8, 1024) on Forster data, every method's trace and final
-    weights are the same bytes at 1 and at 2 BLAS threads.  That is
-    measured, not general: at n = 200, whose unit blocks are 655 units wide
-    (BLOCK_BYTES / 8n) rather than 512, OpenBLAS rounds the forward's and
-    J^T r's products differently at 2 threads (ROADMAP item 8)."""
+    """At (256, 8, 1024) and (200, 8, 1024) on Forster data, every method's
+    trace and final weights are the same bytes at 1 and at 2 BLAS threads.
+    That is measured, not general.  n = 200 holds because unit blocks are a
+    multiple of 64 units wide (640, not BLOCK_BYTES / 8n = 655); at
+    n = 1000 it does not, because grad_matrix's product has inner
+    dimension n there (ROADMAP item 8)."""
     src = str(Path(ng.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -843,7 +846,7 @@ def test_train_does_not_depend_on_blas_threads_across_panels():
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert digests[0][::2] == list(ng.optim.METHODS)
+    assert digests[0][::2] == 2 * list(ng.optim.METHODS)
     assert digests[0] == digests[1]
 
 
