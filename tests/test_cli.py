@@ -787,6 +787,35 @@ def test_config_defaults():
 # rates in train's manifest
 
 
+def test_compare_tabulates_methods(tmp_path, capsys):
+    # a method comparison is one train per config on shared data; each
+    # manifest run holds one row of the table: method, eta, steps to the
+    # threshold, final residual, predicted and observed factors
+    shared = base_config(tmp_path / "unused")
+    del shared["output"]
+    gd_cfg = json.loads(json.dumps(shared))
+    gd_cfg["optimizer"] = {"method": "gd", "eta": 0.5, "max_steps": 5}
+    rows = []
+    for name, cfg in (("ngd", shared), ("gd", gd_cfg)):
+        out = tmp_path / name
+        argv = ["train", "--config", write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.strip().split("\n")[0]
+        assert first.startswith(f"[run] method={cfg['optimizer']['method']} eta=0.5 ")
+        manifest = read_json(out / "manifest.json")
+        assert manifest["threshold"] == 1e-3
+        (run,) = manifest["runs"]
+        rows.append((manifest["data"], run))
+    assert rows[0][0] == rows[1][0]  # both runs saw the same dataset
+    table = [run for _, run in rows]
+    for key in ("method", "eta", "steps_to_threshold", "final_residual_norm",
+                "predicted_factor", "observed_gm_factor"):
+        assert all(key in run for run in table)
+    assert [run["method"] for run in table] == ["ngd_exact", "gd"]
+    assert table[0]["predicted_factor"] == 0.5
+    assert table[1]["predicted_factor"] is None  # no geometric prediction for gd
+
+
 @pytest.mark.filterwarnings("ignore:eta = 0.5 exceeds lambda_min:UserWarning")
 def test_compare_factors_are_on_squared_residual(tmp_path, capsys):
     # the README data: each run's observed_gm_factor is the per-step factor
